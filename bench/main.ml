@@ -56,7 +56,7 @@ let substrate_tests =
     Test.make ~name:"all-pairs/torus-k8" (stage (fun () -> Bfs.all_pairs torus8));
     Test.make ~name:"swap-delta/torus-k3"
       (stage (fun () ->
-           Swap.delta bfs_ws Usage_cost.Sum torus3
+           Swap.delta bfs_ws Game.Sum torus3
              (Swap.Swap { actor = 0; drop = Graph.nth_neighbor torus3 0 0; add = 9 })));
     Test.make ~name:"graph-hash/torus-k8" (stage (fun () -> Graph.hash torus8));
     Test.make ~name:"girth/torus-k8" (stage (fun () -> Metrics.girth torus8));
@@ -106,9 +106,9 @@ let parallel_tests =
     Test.make ~name:"par/eccentricities-torus-k8-j4"
       (stage (fun () -> Metrics.eccentricities ~pool:(Lazy.force pool4) torus8));
     Test.make ~name:"par/check-max-torus-k5-seq"
-      (stage (fun () -> Equilibrium.check_max torus5));
+      (stage (fun () -> Equilibrium.check Game.Max torus5));
     Test.make ~name:"par/check-max-torus-k5-j4"
-      (stage (fun () -> Equilibrium.check_max ~pool:(Lazy.force pool4) torus5));
+      (stage (fun () -> Equilibrium.check ~pool:(Lazy.force pool4) Game.Max torus5));
   ]
 
 (* --- naive oracle vs incremental swap-evaluation engine ------------------ *)
@@ -119,18 +119,18 @@ let parallel_tests =
    side answers most candidates from cached rows and bounds
    ({!Swap_eval.best_move}). Workspace/engine creation is inside the
    kernel so both sides charge their own setup. *)
-let scan_naive version g () =
+let scan_naive game g () =
   let n = Graph.n g in
   let ws = Bfs.create_workspace n in
   for v = 0 to n - 1 do
-    ignore (Swap.best_move ws version g v)
+    ignore (Swap.best_move ws game g v)
   done
 
-let scan_engine version g () =
+let scan_engine game g () =
   let n = Graph.n g in
   let eng = Swap_eval.create g in
   for v = 0 to n - 1 do
-    ignore (Swap_eval.best_move eng version v)
+    ignore (Swap_eval.best_move eng game v)
   done
 
 let star24 = Generators.star 24
@@ -139,21 +139,21 @@ let petersen_pendant = Constructions.petersen_with_pendant ()
 let gnm20 = Random_graphs.connected_gnm (Prng.create 5) 20 40
 
 let swap_eval_tests =
-  let pair name version g =
+  let pair name game g =
     [
       Test.make ~name:(Printf.sprintf "swapeval/%s-naive" name)
-        (stage (scan_naive version g));
+        (stage (scan_naive game g));
       Test.make ~name:(Printf.sprintf "swapeval/%s-engine" name)
-        (stage (scan_engine version g));
+        (stage (scan_engine game g));
     ]
   in
   List.concat
     [
-      pair "star-n24-sum" Usage_cost.Sum star24;
-      pair "path-n24-sum" Usage_cost.Sum path24;
-      pair "torus-k3-max" Usage_cost.Max torus3;
-      pair "petersen-pendant-max" Usage_cost.Max petersen_pendant;
-      pair "gnm-n20-sum" Usage_cost.Sum gnm20;
+      pair "star-n24-sum" Game.Sum star24;
+      pair "path-n24-sum" Game.Sum path24;
+      pair "torus-k3-max" Game.Max torus3;
+      pair "petersen-pendant-max" Game.Max petersen_pendant;
+      pair "gnm-n20-sum" Game.Sum gnm20;
     ]
 
 (* --- one kernel per experiment table ------------------------------------ *)
@@ -165,17 +165,17 @@ let experiment_tests =
     Test.make ~name:"E2/tree-census-max-n6"
       (stage (fun () -> Census.tree_census Game.Max 6));
     Test.make ~name:"E3/sum-eq-check-witness-n11"
-      (stage (fun () -> Equilibrium.is_sum_equilibrium witness));
+      (stage (fun () -> Equilibrium.is_equilibrium Game.Sum witness));
     Test.make ~name:"E4/graph-census-sum-n5"
       (stage (fun () -> Census.graph_census Game.Sum 5));
     Test.make ~name:"E5/max-eq-check-torus-k3"
-      (stage (fun () -> Equilibrium.is_max_equilibrium torus3));
+      (stage (fun () -> Equilibrium.is_equilibrium Game.Max torus3));
     Test.make ~name:"E6/insertion-stability-torus-d3"
       (stage (fun () -> Equilibrium.is_stable_under_insertions torus_d32 ~k:2));
     Test.make ~name:"E7/sum-dynamics-n32"
-      (stage (fun () -> Dynamics.converge_sum ~rng:(Prng.create 1) tree32));
+      (stage (fun () -> Dynamics.run ~rng:(Prng.create 1) (Dynamics.default_config Game.Sum) tree32));
     Test.make ~name:"E8/max-dynamics-n24"
-      (stage (fun () -> Dynamics.converge_max ~rng:(Prng.create 2) gnm24));
+      (stage (fun () -> Dynamics.run ~rng:(Prng.create 2) (Dynamics.default_config Game.Max) gnm24));
     Test.make ~name:"E9/power-report-c32"
       (stage (fun () -> Distance_uniform.power_report cycle32 ~x:3));
     Test.make ~name:"E10/uniformity-hypercube-q7"
@@ -193,7 +193,7 @@ let experiment_tests =
       (stage (fun () -> Hunt.violating_agents Game.Sum gnm24));
     Test.make ~name:"E16/2-swap-check-witness"
       (stage (fun () ->
-           Equilibrium.is_stable_under_k_swaps Usage_cost.Sum witness ~k:2));
+           Equilibrium.is_stable_under_k_swaps Game.Sum witness ~k:2));
     Test.make ~name:"E17/dynamics-random-rule-n24"
       (stage (fun () ->
            let cfg =

@@ -30,7 +30,7 @@ let () =
     (match Metrics.diameter r.Dynamics.final with
     | Some d -> string_of_int d
     | None -> "inf")
-    (Equilibrium.is_sum_equilibrium r.Dynamics.final);
+    (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final);
 
   (* sweep: sizes x seeds x versions *)
   let t =

@@ -22,7 +22,7 @@ let () =
         pf "  n=%2d: found %-14s m=%2d girth=%s verified=%b\n" n (Graph6.encode g)
           (Graph.m g)
           (match Metrics.girth g with Some x -> string_of_int x | None -> "-")
-          (Equilibrium.is_sum_equilibrium g)
+          (Equilibrium.is_equilibrium Game.Sum g)
       | None ->
         pf "  n=%2d: nothing (best candidate had %d violating agents)\n" n
           r.Hunt.best_violations)
@@ -42,7 +42,7 @@ let () =
   pf "  betweenness spread: %.2f (not vertex-transitive, unlike the torus)\n"
     (Centrality.spread b);
   pf "  2-swap stable: %b (falls to coordinated two-edge deviations — E16)\n"
-    (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum g ~k:2);
+    (Equilibrium.is_stable_under_k_swaps Game.Sum g ~k:2);
 
   (* the open frontier *)
   pf "\ndiameter-4 frontier (no example known in the literature):\n";

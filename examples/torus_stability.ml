@@ -49,7 +49,7 @@ let () =
   pf "insertion-stable (no single insertion helps either endpoint): %b\n"
     (Equilibrium.is_insertion_stable g);
   pf "full max equilibrium (exhaustive swap + deletion scan): %b\n"
-    (Equilibrium.is_max_equilibrium g);
+    (Equilibrium.is_equilibrium Game.Max g);
 
   (* diameter = sqrt(n/2), the headline lower bound *)
   pf "\ndiameter %s = sqrt(n/2) = %.1f  — Theta(sqrt n), Theorem 12\n"

@@ -42,7 +42,7 @@ let e11_alpha_transfer ?(n = 14) ?alphas () =
           Table.cell_int (Graph.m g);
           Exp_common.diameter_cell g;
           Table.cell_bool (Alpha_game.is_local_equilibrium st);
-          Table.cell_bool (Equilibrium.is_sum_equilibrium g);
+          Table.cell_bool (Equilibrium.is_equilibrium Game.Sum g);
           Table.cell_float ~digits:3 (Poa.alpha_poa st);
         ])
     alphas;
@@ -76,9 +76,9 @@ let e12_price_of_anarchy ?(max_n = 6) () =
     let worst_diam = Array.make (max_m + 1) 0 in
     Enumerate.connected_graphs n (fun g ->
         let m = Graph.m g in
-        let c = Usage_cost.social_cost Usage_cost.Sum g in
+        let c = Usage_cost.social_cost Game.Sum g in
         if c < opt.(m) then opt.(m) <- c;
-        if Equilibrium.is_sum_equilibrium g then begin
+        if Equilibrium.is_equilibrium Game.Sum g then begin
           if c > worst_eq.(m) then worst_eq.(m) <- c;
           match Metrics.diameter g with
           | Some d -> if d > worst_diam.(m) then worst_diam.(m) <- d

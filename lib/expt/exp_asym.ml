@@ -23,7 +23,7 @@ let e20_asymmetric_swap ?(n = 24) ?(seeds = 8) () =
       let rng = Prng.create seed in
       let g0 = Random_graphs.tree rng n in
       (* symmetric baseline on the same start *)
-      let sym = Dynamics.converge_sum ~rng g0 in
+      let sym = Dynamics.run ~rng (Dynamics.default_config Game.Sum) g0 in
       (match Metrics.diameter sym.Dynamics.final with
       | Some d -> sym_diams := d :: !sym_diams
       | None -> ());
@@ -43,7 +43,7 @@ let e20_asymmetric_swap ?(n = 24) ?(seeds = 8) () =
               Table.cell_int r.Asym_swap.moves;
               Exp_common.diameter_cell g;
               Table.cell_bool (Asym_swap.is_equilibrium r.Asym_swap.state);
-              Table.cell_bool (Equilibrium.is_sum_equilibrium g);
+              Table.cell_bool (Equilibrium.is_equilibrium Game.Sum g);
             ])
         [ ("random", Asym_swap.Random seed); ("min-endpoint", Asym_swap.Min_endpoint) ])
     (Exp_common.seeds seeds);

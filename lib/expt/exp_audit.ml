@@ -106,7 +106,7 @@ let e19_spectral_profile () =
   row "polarity ER_5" (Polarity.polarity_graph 5);
   let rng = Prng.create 21 in
   row "sum eq (from G(48,96))"
-    (Dynamics.converge_sum ~rng (Random_graphs.connected_gnm rng 48 96)).Dynamics.final;
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.connected_gnm rng 48 96)).Dynamics.final;
   row "torus k=4" (Constructions.torus 4);
   row "torus k=8" (Constructions.torus 8);
   row "cycle C64" (Generators.cycle 64);

@@ -43,9 +43,9 @@ let verdict_cell = function
   | Equilibrium.Alpha_violation (mv, d) ->
     Printf.sprintf "no (%s, delta %g)" (Alpha_game.move_to_string mv) d
 
-let sum_verdict g = verdict_cell (Equilibrium.check_sum g)
+let sum_verdict g = verdict_cell (Equilibrium.check Game.Sum g)
 
-let max_verdict g = verdict_cell (Equilibrium.check_max g)
+let max_verdict g = verdict_cell (Equilibrium.check Game.Max g)
 
 let outcome_name = function
   | Dynamics.Converged -> "converged"

@@ -8,7 +8,7 @@ type run_stats = {
   lemma3_ok : int;
 }
 
-let collect version sizes seed_count init =
+let collect game sizes seed_count init =
   List.map
     (fun n ->
       let runs =
@@ -16,13 +16,7 @@ let collect version sizes seed_count init =
           (fun seed ->
             let rng = Prng.create seed in
             let g = init rng n in
-            let r =
-              match version with
-              | Game.Sum -> Dynamics.converge_sum ~rng g
-              | Game.Max | Game.Alpha _ ->
-                Dynamics.run ~rng (Dynamics.default_config version) g
-            in
-            r)
+            Dynamics.run ~rng (Dynamics.default_config game) g)
           (Exp_common.seeds seed_count)
       in
       let converged =
@@ -31,7 +25,7 @@ let collect version sizes seed_count init =
       let eq_verified =
         List.length
           (List.filter
-             (fun r -> Equilibrium.is_equilibrium version r.Dynamics.final)
+             (fun r -> Equilibrium.is_equilibrium game r.Dynamics.final)
              converged)
       in
       let spread_ok =

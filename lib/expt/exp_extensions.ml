@@ -57,7 +57,7 @@ let e15_equilibrium_hunt ?(sizes = [ 7; 8; 9; 10; 11; 12 ]) ?(steps = 4000) () =
             Graph6.encode g;
             Table.cell_int (Graph.m g);
             Exp_common.girth_cell g;
-            Table.cell_bool (Equilibrium.is_sum_equilibrium g);
+            Table.cell_bool (Equilibrium.is_equilibrium Game.Sum g);
             Table.cell_int r.Hunt.evaluated;
           ]
       | None ->
@@ -121,7 +121,7 @@ let e15_equilibrium_hunt ?(sizes = [ 7; 8; 9; 10; 11; 12 ]) ?(steps = 4000) () =
           Printf.sprintf "%d-sunlet" k;
           Table.cell_int (Graph.n g);
           Table.cell_int d;
-          Table.cell_bool (Equilibrium.is_max_equilibrium g);
+          Table.cell_bool (Equilibrium.is_equilibrium Game.Max g);
           Table.cell_int (2 * d * d);
         ])
     [ 3; 4; 5; 6; 7; 9 ];
@@ -150,8 +150,8 @@ let e16_multi_swap_stability ?(k = 2) () =
         ]
   in
   let row name g =
-    let eq = Equilibrium.is_sum_equilibrium g in
-    let witness = Equilibrium.find_k_swap_violation Usage_cost.Sum g ~k in
+    let eq = Equilibrium.is_equilibrium Game.Sum g in
+    let witness = Equilibrium.find_k_swap_violation Game.Sum g ~k in
     Table.add_row t
       [
         name;

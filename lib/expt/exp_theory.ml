@@ -16,7 +16,7 @@ let e13_lemma10_corollary11 () =
   in
   let row name g =
     let n = Graph.n g in
-    let eq = Equilibrium.is_sum_equilibrium g in
+    let eq = Equilibrium.is_equilibrium Game.Sum g in
     let lemma10_all =
       let ok = ref true in
       for u = 0 to n - 1 do
@@ -43,7 +43,7 @@ let e13_lemma10_corollary11 () =
   row "polarity ER_5" (Polarity.polarity_graph 5);
   let rng = Prng.create 9 in
   row "sum eq (from tree n=32)"
-    (Dynamics.converge_sum ~rng (Random_graphs.tree rng 32)).Dynamics.final;
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.tree rng 32)).Dynamics.final;
   row "sum eq (from G(48,96))"
-    (Dynamics.converge_sum ~rng (Random_graphs.connected_gnm rng 48 96)).Dynamics.final;
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.connected_gnm rng 48 96)).Dynamics.final;
   Table.print t

@@ -26,7 +26,7 @@ let e5_torus_sweep ?(max_k = 10) () =
       else Equilibrium.find_insertion_violation g = None
     in
     let max_eq =
-      if full then Equilibrium.is_max_equilibrium g
+      if full then Equilibrium.is_equilibrium Game.Max g
       else del_crit && ins_stable
     in
     Table.add_row t

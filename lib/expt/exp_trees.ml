@@ -46,7 +46,7 @@ let e1b_trees_at_scale ?(sizes = [ 64; 128; 256 ]) () =
       List.iter
         (fun (name, make) ->
           let g = make n in
-          let final, moves = Tree_opt.converge g in
+          let final, moves = Tree_opt.converge Game.Sum g in
           Table.add_row t
             [
               Table.cell_int n;
@@ -76,7 +76,7 @@ let e1b_trees_at_scale ?(sizes = [ 64; 128; 256 ]) () =
   List.iter
     (fun n ->
       let g = Random_graphs.tree (Prng.create (2 * n)) n in
-      let final, moves = Tree_opt.converge_max g in
+      let final, moves = Tree_opt.converge Game.Max g in
       Table.add_row t2
         [
           Table.cell_int n;
@@ -134,7 +134,7 @@ let e2b_double_star_family ?(max_arm = 5) () =
   for a = 1 to max_arm do
     for b = a to max_arm do
       let g = Generators.double_star a b in
-      let eq = Equilibrium.is_max_equilibrium g in
+      let eq = Equilibrium.is_equilibrium Game.Max g in
       Table.add_row t
         [
           Table.cell_int a;

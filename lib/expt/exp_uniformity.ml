@@ -35,10 +35,10 @@ let e9_theorem13_pipeline () =
   (* equilibria from dynamics *)
   let rng = Prng.create 3 in
   let eq1 =
-    (Dynamics.converge_sum ~rng (Random_graphs.tree rng 32)).Dynamics.final
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.tree rng 32)).Dynamics.final
   in
   let eq2 =
-    (Dynamics.converge_sum ~rng (Random_graphs.connected_gnm rng 48 96)).Dynamics.final
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.connected_gnm rng 48 96)).Dynamics.final
   in
   row "sum eq (from tree, n=32)" eq1 1;
   row "sum eq (from G(48,96))" eq2 1;
@@ -150,7 +150,7 @@ let e14_conjecture14_probe () =
   in
   let rng = Prng.create 5 in
   let eq =
-    (Dynamics.converge_sum ~rng (Random_graphs.connected_gnm rng 40 80)).Dynamics.final
+    (Dynamics.run ~rng (Dynamics.default_config Game.Sum) (Random_graphs.connected_gnm rng 40 80)).Dynamics.final
   in
   List.iter
     (fun p ->

@@ -165,7 +165,9 @@ let count ?lo ?hi n =
    lex-minimal canonical string disagree (the string weighs pair (0,1)
    heaviest, the mask weighs it lightest), so byte-identity with the
    legacy output needs a second, brute-force minimization. It only runs
-   on equilibrium classes — a handful per census — and only up to
+   on equilibrium classes, but those are many — 374 for sum at n = 7 and
+   4161 at n = 8 — and it dominates the orderly census there (about 89%
+   of the n = 7 sum census wall). It runs only up to
    [min_mask_vertices]; past that the canonical copy is the
    representative (there is no legacy output to match beyond the
    rank-range cap anyway). *)

@@ -55,12 +55,12 @@ let owned_degree t v =
     0 t.g v
 
 let agent_cost t v =
-  let c = Usage_cost.vertex_cost t.ws Usage_cost.Sum t.g v in
+  let c = Usage_cost.vertex_cost t.ws Game.Sum t.g v in
   if Usage_cost.is_infinite c then infinity
   else (t.alpha *. float_of_int (owned_degree t v)) +. float_of_int c
 
 let social_cost t =
-  let dist = Usage_cost.social_cost Usage_cost.Sum t.g in
+  let dist = Usage_cost.social_cost Game.Sum t.g in
   if Usage_cost.is_infinite dist then infinity
   else (t.alpha *. float_of_int (Graph.m t.g)) +. float_of_int dist
 

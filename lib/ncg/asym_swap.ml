@@ -60,7 +60,7 @@ let best_move t v =
       for add = 0 to n - 1 do
         if add <> v && add <> drop && not (Graph.mem_edge t.g v add) then begin
           let mv = Swap.Swap { actor = v; drop; add } in
-          let d = Swap.delta t.ws Usage_cost.Sum t.g mv in
+          let d = Swap.delta t.ws Game.Sum t.g mv in
           if d < 0 then
             match !best with
             | Some (_, bd) when bd <= d -> ()
@@ -75,7 +75,7 @@ let is_equilibrium t =
   loop 0
 
 let symmetric_equilibrium_implies_asymmetric g ownership =
-  (not (Equilibrium.is_sum_equilibrium g)) || is_equilibrium (create ownership g)
+  (not (Equilibrium.is_equilibrium Game.Sum g)) || is_equilibrium (create ownership g)
 
 type result = {
   state : t;

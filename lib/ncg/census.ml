@@ -87,7 +87,7 @@ let classify_tree game tally g =
       | None ->
         (* diameter <= 3 non-equilibrium: confirm with the generic
            checker that an improving move indeed exists *)
-        assert (not (Equilibrium.is_max_equilibrium g));
+        assert (not (Equilibrium.is_equilibrium Game.Max g));
         tally.t_witnesses <- tally.t_witnesses + 1
     end
   | Game.Alpha _ ->
@@ -207,8 +207,8 @@ let graph_shard_of_range ?atlas game n ~lo ~hi =
 
 let merge_shard a b =
   (* first-seen-wins per class; [a] precedes [b] in mask order. The rep
-     lists are a handful of equilibrium classes, so the quadratic assoc
-     scan is noise next to the enumeration itself. *)
+     lists hold every equilibrium class a shard saw — 374 for sum at
+     n = 7, 4161 at n = 8 — and the assoc scan is quadratic in them. *)
   let fresh =
     List.filter (fun (k, _) -> not (List.mem_assoc k a.s_reps)) b.s_reps
   in

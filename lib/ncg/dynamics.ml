@@ -49,14 +49,14 @@ type result = {
   trace : step list;
 }
 
-(* A cost-neutral deletion for the max version: remove an incident edge
+(* A cost-neutral deletion for the max game: remove an incident edge
    without hurting the agent's local diameter.  Strictly decreases m, so it
    can never cycle; it is required to reach deletion-critical states.
    Deletion deltas come straight off the engine's cached drop rows. *)
-let find_neutral_deletion eng version v =
-  match version with
-  | Usage_cost.Sum -> None
-  | Usage_cost.Max ->
+let find_neutral_deletion eng game v =
+  match game with
+  | Game.Sum | Game.Alpha _ -> None
+  | Game.Max ->
     let g = Swap_eval.graph eng in
     let best = ref None in
     (* snapshot: the engine's fallback mutates the adjacency rows *)
@@ -64,7 +64,7 @@ let find_neutral_deletion eng version v =
       (fun drop ->
         if !best = None then begin
           let mv = Swap.Delete { actor = v; drop } in
-          match Swap_eval.delta_below eng version mv ~cutoff:1 with
+          match Swap_eval.delta_below eng game mv ~cutoff:1 with
           | Some d -> best := Some (mv, d)
           | None -> ()
         end)
@@ -88,7 +88,7 @@ let draw_sampled_candidates rng ~deg ~n ~budget =
   pairs
 
 (* bounded agent: examine only [budget] uniformly sampled candidate swaps *)
-let sampled_move rng eng version v budget =
+let sampled_move rng eng game v budget =
   let g = Swap_eval.graph eng in
   let n = Graph.n g in
   let neighbors = Graph.neighbors g v in
@@ -104,7 +104,7 @@ let sampled_move rng eng version v budget =
         then begin
           let mv = Swap.Swap { actor = v; drop; add } in
           let cutoff = match !best with None -> 0 | Some (_, bd) -> bd in
-          match Swap_eval.delta_below eng version mv ~cutoff with
+          match Swap_eval.delta_below eng game mv ~cutoff with
           | Some d -> best := Some (mv, d)
           | None -> ()
         end)
@@ -112,36 +112,21 @@ let sampled_move rng eng version v budget =
     !best
   end
 
-let pick_move rng eng version cfg v =
+let pick_move rng eng cfg v =
+  let game = cfg.game in
   let deletion =
-    if cfg.allow_deletions then find_neutral_deletion eng version v else None
+    if cfg.allow_deletions then find_neutral_deletion eng game v else None
   in
   match deletion with
   | Some _ as d -> d
   | None -> (
     match cfg.rule with
-    | Best_response -> Swap_eval.best_move eng version v
-    | First_improving -> Swap_eval.first_improving_move eng version v
-    | Random_improving -> Swap_eval.random_improving_move rng eng version v
-    | Sampled budget -> sampled_move rng eng version v budget)
+    | Best_response -> Swap_eval.best_move eng game v
+    | First_improving -> Swap_eval.first_improving_move eng game v
+    | Random_improving -> Swap_eval.random_improving_move rng eng game v
+    | Sampled budget -> sampled_move rng eng game v budget)
 
-(* The α-game has its own best-response engine (ownership-aware moves,
-   float costs); [run] delegates and maps the result into this module's
-   record. Rule/schedule refinements and traces are swap-engine features,
-   so the α path is plain round-robin best-response without a trace. *)
-let run_alpha cfg g0 =
-  if not (Components.is_connected g0) then
-    invalid_arg "Dynamics.run: input must be connected";
-  let alpha =
-    match cfg.game with Game.Alpha a -> a | Game.Sum | Game.Max -> assert false
-  in
-  let r = Alpha_game.run_dynamics ~max_rounds:cfg.max_rounds (Alpha_game.create ~alpha g0) in
-  let outcome =
-    match r.Alpha_game.outcome with
-    | Alpha_game.Converged -> Converged
-    | Alpha_game.Cycled -> Cycled
-    | Alpha_game.Round_limit -> Round_limit
-  in
+let finish cfg outcome ~rounds ~moves =
   Log.info (fun m ->
       m "%s dynamics: %s after %d rounds, %d moves"
         (Game.to_string cfg.game)
@@ -149,10 +134,24 @@ let run_alpha cfg g0 =
         | Converged -> "converged"
         | Cycled -> "cycled"
         | Round_limit -> "round limit")
-        r.Alpha_game.rounds r.Alpha_game.moves);
+        rounds moves);
   Telemetry.incr m_runs;
-  Telemetry.add m_rounds r.Alpha_game.rounds;
-  Telemetry.add m_moves r.Alpha_game.moves;
+  Telemetry.add m_rounds rounds;
+  Telemetry.add m_moves moves
+
+(* The α-game has its own best-response engine (ownership-aware moves,
+   float costs); [run] delegates and maps the result into this module's
+   record. Rule/schedule refinements and traces are swap-engine features,
+   so the α path is plain round-robin best-response without a trace. *)
+let run_alpha alpha cfg g0 =
+  let r = Alpha_game.run_dynamics ~max_rounds:cfg.max_rounds (Alpha_game.create ~alpha g0) in
+  let outcome =
+    match r.Alpha_game.outcome with
+    | Alpha_game.Converged -> Converged
+    | Alpha_game.Cycled -> Cycled
+    | Alpha_game.Round_limit -> Round_limit
+  in
+  finish cfg outcome ~rounds:r.Alpha_game.rounds ~moves:r.Alpha_game.moves;
   {
     final = Graph.copy (Alpha_game.graph r.Alpha_game.state);
     outcome;
@@ -161,9 +160,7 @@ let run_alpha cfg g0 =
     trace = [];
   }
 
-let run_basic ?rng version cfg g0 =
-  if not (Components.is_connected g0) then
-    invalid_arg "Dynamics.run: input must be connected";
+let run_swap ?rng cfg g0 =
   let rng = match rng with Some r -> r | None -> Prng.create 0 in
   let g = Graph.copy g0 in
   let n = Graph.n g in
@@ -177,11 +174,26 @@ let run_basic ?rng version cfg g0 =
   let record mv d =
     Log.debug (fun m -> m "move %d: %s (delta %d)" !moves (Swap.move_to_string mv) d);
     if cfg.record_trace then begin
-      let social = Usage_cost.social_cost version g in
+      let social = Usage_cost.social_cost cfg.game g in
       let diameter = Option.value (Metrics.diameter g) ~default:(-1) in
       trace := { index = !moves; move = mv; delta = d; social; diameter } :: !trace
     end;
     incr moves
+  in
+  (* deletions shrink the edge set, so only a swap can revisit a state *)
+  let take mv d =
+    Swap.apply g mv;
+    Swap_eval.invalidate eng;
+    record mv d;
+    let h = Graph.hash g in
+    if Hashtbl.mem seen h then begin
+      match mv with
+      | Swap.Swap _ ->
+        outcome := Cycled;
+        raise Exit
+      | Swap.Delete _ -> Hashtbl.replace seen h ()
+    end
+    else Hashtbl.add seen h ()
   in
   (try
      while !rounds < cfg.max_rounds do
@@ -193,23 +205,11 @@ let run_basic ?rng version cfg g0 =
            | Round_robin -> slot
            | Random_agent -> Prng.int rng n
          in
-         match pick_move rng eng version cfg v with
+         match pick_move rng eng cfg v with
          | None -> ()
          | Some (mv, d) ->
-           Swap.apply g mv;
-           Swap_eval.invalidate eng;
            progressed := true;
-           record mv d;
-           let h = Graph.hash g in
-           if Hashtbl.mem seen h then begin
-             (* deletions shrink the edge set so only swaps can revisit *)
-             match mv with
-             | Swap.Swap _ ->
-               outcome := Cycled;
-               raise Exit
-             | Swap.Delete _ -> Hashtbl.replace seen h ()
-           end
-           else Hashtbl.add seen h ()
+           take mv d
        done;
        if not !progressed then begin
          (* A quiet pass under Random_agent scheduling may just have missed
@@ -217,7 +217,7 @@ let run_basic ?rng version cfg g0 =
          let pending = ref None in
          let v = ref 0 in
          while !pending = None && !v < n do
-           pending := pick_move rng eng version { cfg with rule = First_improving } !v;
+           pending := pick_move rng eng { cfg with rule = First_improving } !v;
            incr v
          done;
          match !pending with
@@ -230,50 +230,16 @@ let run_basic ?rng version cfg g0 =
              (* a bounded agent missed its move this pass; keep sampling
                 under the budget rather than applying the oracle's move *)
              ()
-           | Best_response | First_improving | Random_improving ->
-             Swap.apply g mv;
-             Swap_eval.invalidate eng;
-             record mv d;
-             let h = Graph.hash g in
-             if Hashtbl.mem seen h then begin
-               match mv with
-               | Swap.Swap _ ->
-                 outcome := Cycled;
-                 raise Exit
-               | Swap.Delete _ -> Hashtbl.replace seen h ()
-             end
-             else Hashtbl.add seen h ())
+           | Best_response | First_improving | Random_improving -> take mv d)
        end
      done
    with Exit -> ());
-  Log.info (fun m ->
-      m "%s dynamics: %s after %d rounds, %d moves"
-        (Game.to_string cfg.game)
-        (match !outcome with
-        | Converged -> "converged"
-        | Cycled -> "cycled"
-        | Round_limit -> "round limit")
-        !rounds !moves);
-  Telemetry.incr m_runs;
-  Telemetry.add m_rounds !rounds;
-  Telemetry.add m_moves !moves;
+  finish cfg !outcome ~rounds:!rounds ~moves:!moves;
   { final = g; outcome = !outcome; rounds = !rounds; moves = !moves; trace = List.rev !trace }
 
 let run ?rng cfg g0 =
-  match Game.basic cfg.game with
-  | Some version -> run_basic ?rng version cfg g0
-  | None -> run_alpha cfg g0
-
-let converge_sum ?rng ?max_rounds g =
-  let cfg = default_config Game.Sum in
-  let cfg =
-    match max_rounds with None -> cfg | Some max_rounds -> { cfg with max_rounds }
-  in
-  run ?rng cfg g
-
-let converge_max ?rng ?max_rounds g =
-  let cfg = default_config Game.Max in
-  let cfg =
-    match max_rounds with None -> cfg | Some max_rounds -> { cfg with max_rounds }
-  in
-  run ?rng cfg g
+  if not (Components.is_connected g0) then
+    invalid_arg "Dynamics.run: input must be connected";
+  match cfg.game with
+  | Game.Alpha alpha -> run_alpha alpha cfg g0
+  | Game.Sum | Game.Max -> run_swap ?rng cfg g0

@@ -3,7 +3,7 @@
     The game's natural process: agents take turns performing improving edge
     swaps until no one can improve — a swap equilibrium. Swap games are not
     known to be potential games, so the engine detects revisited states by
-    hashing the edge set and also enforces a round cap. In the max version
+    hashing the edge set and also enforces a round cap. In the max game
     agents additionally drop extraneous edges (deletions that do not hurt
     their local diameter), which the paper folds into "swap onto an
     existing edge"; deletions strictly decrease the edge count so they
@@ -82,8 +82,3 @@ val run : ?rng:Prng.t -> config -> Graph.t -> result
     [allow_deletions] and [record_trace] are swap-engine refinements and
     are ignored there — the trace comes back empty.
     @raise Invalid_argument on disconnected input. *)
-
-val converge_sum : ?rng:Prng.t -> ?max_rounds:int -> Graph.t -> result
-(** Shorthand: sum-version default dynamics. *)
-
-val converge_max : ?rng:Prng.t -> ?max_rounds:int -> Graph.t -> result

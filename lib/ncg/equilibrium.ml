@@ -13,37 +13,9 @@ let pp_verdict ppf = function
 
 exception Witness of Swap.move * int
 
-(* First violating move of a single agent, in move-enumeration order.
-   Both the sequential and the parallel checkers are built from this
-   per-agent scan, so their witnesses coincide. Candidates are evaluated
-   by the incremental engine: [Swap_eval.delta_below] returns the exact
-   naive delta whenever it is below the cutoff and certifies the skip
-   otherwise, so verdicts and witnesses are byte-identical to the
-   apply/BFS/undo oracle. *)
-let agent_violation_sum eng v =
-  try
-    Swap.iter_moves (Swap_eval.graph eng) v (fun mv ->
-        match Swap_eval.delta_below eng Usage_cost.Sum mv ~cutoff:0 with
-        | Some d -> raise (Witness (mv, d))
-        | None -> ());
-    None
-  with Witness (mv, d) -> Some (mv, d)
-
-let agent_violation_max eng v =
-  try
-    Swap.iter_moves ~include_deletions:true (Swap_eval.graph eng) v (fun mv ->
-        (* equilibrium demands deletion *strictly increases* the actor's
-           local diameter, so deletions violate already at delta = 0 *)
-        let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
-        match Swap_eval.delta_below eng Usage_cost.Max mv ~cutoff with
-        | Some d -> raise (Witness (mv, d))
-        | None -> ());
-    None
-  with Witness (mv, d) -> Some (mv, d)
-
 (* Agents whose move lists were scanned, early exits taken, and — as a
-   gauge — the actor index of the last violating move found. The span
-   wraps the whole verdict including the connectivity pre-check. Note the
+   gauge — the index of the last violating agent found. The span wraps
+   the whole verdict including the connectivity pre-check. Note the
    parallel scan may probe a scheduling-dependent set of agents past the
    witness, so [agents_scanned] is exact only on the sequential path. *)
 let m_agents = Telemetry.counter "equilibrium.agents_scanned"
@@ -54,103 +26,95 @@ let m_violating_agent = Telemetry.gauge "equilibrium.violating_agent"
 
 let m_check = Telemetry.span "equilibrium.check"
 
-(* Fan the per-agent scans across the pool. The engine's bound fallback
-   applies and undoes moves on the graph, so every domain works on its
-   own [Graph.copy] behind its own engine; [Pool.parallel_find] keeps
-   the lowest-agent witness, matching the sequential scan order. The
-   sequential engine is shared across agents, so lazily computed
-   distance rows amortise over the whole check. *)
-let check_with ~agent_violation ?pool g =
+(* First violating move of a single agent of a swap game, in
+   move-enumeration order. Candidates are evaluated by the incremental
+   engine: [Swap_eval.delta_below] returns the exact naive delta whenever
+   it is below the cutoff and certifies the skip otherwise, so verdicts
+   and witnesses are byte-identical to the apply/BFS/undo oracle. The max
+   game also scans deletions: equilibrium demands that a deletion
+   *strictly increases* the actor's local diameter, so deletions violate
+   already at delta = 0. *)
+let swap_scan game eng =
+  let include_deletions =
+    match game with Game.Max -> true | Game.Sum | Game.Alpha _ -> false
+  in
+  fun v ->
+    try
+      Swap.iter_moves ~include_deletions (Swap_eval.graph eng) v (fun mv ->
+          let cutoff = match mv with Swap.Swap _ -> 0 | Swap.Delete _ -> 1 in
+          match Swap_eval.delta_below eng game mv ~cutoff with
+          | Some d -> raise (Witness (mv, d))
+          | None -> ());
+      Equilibrium
+    with Witness (mv, d) -> Violation (mv, d)
+
+(* The α state holds its own copy of the graph; its first improving move
+   follows the same witness convention as the swap games. *)
+let alpha_scan alpha g =
+  let st = Alpha_game.create ~alpha g in
+  fun v ->
+    match Alpha_game.first_improving_move st v with
+    | Some (mv, d) -> Alpha_violation (mv, d)
+    | None -> Equilibrium
+
+let agent_scan game g =
+  match game with
+  | Game.Alpha alpha -> alpha_scan alpha g
+  | Game.Sum | Game.Max -> swap_scan game (Swap_eval.create g)
+
+(* Both the sequential and the parallel checkers are built from the
+   per-agent scan, so their witnesses coincide: [Pool.parallel_find]
+   keeps the lowest-agent witness, and every domain scans its own
+   [Graph.copy] (the engine's bound fallback applies and undoes moves on
+   the graph). The sequential scan shares one engine across agents, so
+   lazily computed distance rows amortise over the whole check. *)
+let check ?pool game g =
   let t0 = Telemetry.start () in
-  (* the connectivity pre-check reads vertex 0's row off the engine; on
-     the sequential path the scan starts at agent 0, which wants exactly
-     that row, so the check costs no extra BFS at all *)
-  let eng = Swap_eval.create g in
+  (* the swap games read connectivity off vertex 0's engine row, which
+     the sequential scan starting at agent 0 wants anyway, so their
+     pre-check costs no extra BFS; the α state has no such row and pays
+     one BFS. Every game reports disconnection as [Disconnected] (for α
+     rather than as a Buy witness with delta = -∞). *)
+  let connected, scan =
+    match game with
+    | Game.Alpha alpha -> (Components.is_connected g, alpha_scan alpha g)
+    | Game.Sum | Game.Max ->
+      let eng = Swap_eval.create g in
+      (Swap_eval.connected eng, swap_scan game eng)
+  in
   let verdict =
-    if not (Swap_eval.connected eng) then Disconnected
+    if not connected then Disconnected
     else begin
       let n = Graph.n g in
+      let at scan v =
+        Telemetry.incr m_agents;
+        match scan v with Equilibrium -> None | w -> Some (v, w)
+      in
       let witness =
         match pool with
         | Some pool when Pool.jobs pool > 1 ->
           Pool.parallel_find pool ~n
-            ~init:(fun () -> Swap_eval.create (Graph.copy g))
-            (fun eng v ->
-              Telemetry.incr m_agents;
-              agent_violation eng v)
+            ~init:(fun () -> agent_scan game (Graph.copy g))
+            at
         | _ ->
-          let rec scan v =
+          let rec loop v =
             if v >= n then None
-            else begin
-              Telemetry.incr m_agents;
-              match agent_violation eng v with
-              | Some _ as w -> w
-              | None -> scan (v + 1)
-            end
+            else match at scan v with Some _ as w -> w | None -> loop (v + 1)
           in
-          scan 0
+          loop 0
       in
       match witness with
-      | Some (mv, d) ->
+      | Some (v, w) ->
         Telemetry.incr m_early_exits;
-        Telemetry.set_gauge m_violating_agent (Swap.actor mv);
-        Violation (mv, d)
+        Telemetry.set_gauge m_violating_agent v;
+        w
       | None -> Equilibrium
     end
   in
   Telemetry.stop m_check t0;
   verdict
-
-(* The alpha path goes through the same telemetry shell as the basic
-   games but scans with [Alpha_game.first_improving_move] — the pool is
-   unused (the per-move delta is already an apply/BFS/undo on a private
-   copy). Disconnection is reported as [Disconnected], matching the basic
-   games, rather than as a Buy witness with delta = -∞. *)
-let check_alpha alpha g =
-  let t0 = Telemetry.start () in
-  let st = Alpha_game.create ~alpha g in
-  let verdict =
-    if Usage_cost.is_infinite (Usage_cost.social_cost Usage_cost.Sum g) then
-      Disconnected
-    else begin
-      let n = Graph.n g in
-      let rec scan v =
-        if v >= n then None
-        else begin
-          Telemetry.incr m_agents;
-          match Alpha_game.first_improving_move st v with
-          | Some _ as w -> w
-          | None -> scan (v + 1)
-        end
-      in
-      match scan 0 with
-      | Some (mv, d) ->
-        Telemetry.incr m_early_exits;
-        Telemetry.set_gauge m_violating_agent (Alpha_game.actor mv);
-        Alpha_violation (mv, d)
-      | None -> Equilibrium
-    end
-  in
-  Telemetry.stop m_check t0;
-  verdict
-
-let check ?pool game g =
-  match game with
-  | Game.Sum -> check_with ~agent_violation:agent_violation_sum ?pool g
-  | Game.Max -> check_with ~agent_violation:agent_violation_max ?pool g
-  | Game.Alpha a ->
-    ignore pool;
-    check_alpha a g
 
 let is_equilibrium ?pool game g = check ?pool game g = Equilibrium
-
-let check_sum ?pool g = check ?pool Game.Sum g
-
-let is_sum_equilibrium ?pool g = is_equilibrium ?pool Game.Sum g
-
-let check_max ?pool g = check ?pool Game.Max g
-
-let is_max_equilibrium ?pool g = is_equilibrium ?pool Game.Max g
 
 (* Ascending non-neighbor candidates of [v], filled into one right-sized
    array — the k-swap/insertion enumerators below call this per vertex,
@@ -177,11 +141,11 @@ let find_non_critical_deletion g =
     List.iter
       (fun (u, v) ->
         let mu = Swap.Delete { actor = u; drop = v } in
-        (match Swap_eval.delta_below eng Usage_cost.Max mu ~cutoff:1 with
+        (match Swap_eval.delta_below eng Game.Max mu ~cutoff:1 with
         | Some du -> raise (Witness (mu, du))
         | None -> ());
         let mv = Swap.Delete { actor = v; drop = u } in
-        match Swap_eval.delta_below eng Usage_cost.Max mv ~cutoff:1 with
+        match Swap_eval.delta_below eng Game.Max mv ~cutoff:1 with
         | Some dv -> raise (Witness (mv, dv))
         | None -> ())
       (Graph.edges g);
@@ -197,14 +161,14 @@ let find_insertion_violation g =
   let ws = Bfs.create_workspace n in
   let ecc = Array.make n 0 in
   for v = 0 to n - 1 do
-    ecc.(v) <- Usage_cost.vertex_cost ws Usage_cost.Max g v
+    ecc.(v) <- Usage_cost.vertex_cost ws Game.Max g v
   done;
   try
     List.iter
       (fun (u, v) ->
         Graph.add_edge g u v;
-        let eu = Usage_cost.vertex_cost ws Usage_cost.Max g u in
-        let ev = Usage_cost.vertex_cost ws Usage_cost.Max g v in
+        let eu = Usage_cost.vertex_cost ws Game.Max g u in
+        let ev = Usage_cost.vertex_cost ws Game.Max g v in
         Graph.remove_edge g u v;
         if eu < ecc.(u) || ev < ecc.(v) then raise (Pair (u, v)))
       (Graph.complement_edges g);
@@ -220,7 +184,7 @@ let is_stable_under_insertions g ~k =
   let stable = ref true in
   let v = ref 0 in
   while !stable && !v < n do
-    let base = Usage_cost.vertex_cost ws Usage_cost.Max g !v in
+    let base = Usage_cost.vertex_cost ws Game.Max g !v in
     let candidates = non_neighbors g !v in
     let chosen = Array.make (max k 1) (-1) in
     (* enumerate all subsets of size 1..k of absent incident edges at v *)
@@ -230,7 +194,7 @@ let is_stable_under_insertions g ~k =
         for i = 0 to size - 1 do
           Graph.add_edge g !v candidates.(chosen.(i))
         done;
-        let after = Usage_cost.vertex_cost ws Usage_cost.Max g !v in
+        let after = Usage_cost.vertex_cost ws Game.Max g !v in
         for i = size - 1 downto 0 do
           Graph.remove_edge g !v candidates.(chosen.(i))
         done;
@@ -275,7 +239,7 @@ let iter_subsets pool size stop f =
   in
   if size <= m then go 0 0
 
-let find_k_swap_violation version g ~k =
+let find_k_swap_violation game g ~k =
   if k < 1 then invalid_arg "Equilibrium.find_k_swap_violation";
   let n = Graph.n g in
   let ws = Bfs.create_workspace n in
@@ -284,7 +248,7 @@ let find_k_swap_violation version g ~k =
   let v = ref 0 in
   while (not !stop) && !v < n do
     let actor = !v in
-    let base = Usage_cost.vertex_cost ws version g actor in
+    let base = Usage_cost.vertex_cost ws game g actor in
     let neighbors = Graph.neighbors g actor in
     let fresh = non_neighbors g actor in
     let jmax = min k (min (Array.length neighbors) (Array.length fresh)) in
@@ -293,7 +257,7 @@ let find_k_swap_violation version g ~k =
           iter_subsets fresh j stop (fun adds ->
               List.iter (fun w -> Graph.remove_edge g actor w) drops;
               List.iter (fun w -> Graph.add_edge g actor w) adds;
-              let after = Usage_cost.vertex_cost ws version g actor in
+              let after = Usage_cost.vertex_cost ws game g actor in
               List.iter (fun w -> Graph.remove_edge g actor w) adds;
               List.iter (fun w -> Graph.add_edge g actor w) drops;
               if after < base then begin
@@ -305,8 +269,8 @@ let find_k_swap_violation version g ~k =
   done;
   !witness
 
-let is_stable_under_k_swaps version g ~k =
-  find_k_swap_violation version g ~k = None
+let is_stable_under_k_swaps game g ~k =
+  find_k_swap_violation game g ~k = None
 
 let k_change_stable_sampled rng g ~k ~trials =
   if k < 1 then invalid_arg "Equilibrium.k_change_stable_sampled";
@@ -315,7 +279,7 @@ let k_change_stable_sampled rng g ~k ~trials =
   let stable = ref true in
   let v = ref 0 in
   while !stable && !v < n do
-    let base = Usage_cost.vertex_cost ws Usage_cost.Max g !v in
+    let base = Usage_cost.vertex_cost ws Game.Max g !v in
     let nonneighbors = non_neighbors g !v in
     let neigh = Graph.neighbors g !v in
     let t = ref 0 in
@@ -327,7 +291,7 @@ let k_change_stable_sampled rng g ~k ~trials =
         let add_idx = Prng.sample_distinct rng ~n:(Array.length nonneighbors) ~k:j in
         Array.iter (fun i -> Graph.remove_edge g !v neigh.(i)) drop_idx;
         Array.iter (fun i -> Graph.add_edge g !v nonneighbors.(i)) add_idx;
-        let after = Usage_cost.vertex_cost ws Usage_cost.Max g !v in
+        let after = Usage_cost.vertex_cost ws Game.Max g !v in
         Array.iter (fun i -> Graph.remove_edge g !v nonneighbors.(i)) add_idx;
         Array.iter (fun i -> Graph.add_edge g !v neigh.(i)) drop_idx;
         if after < base then stable := false

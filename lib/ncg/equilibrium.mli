@@ -19,43 +19,41 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** {1 Game-generic entry points}
-
-    Callers that carry a {!Game.t} value (the censuses, the serving
-    layer, the hunter, the CLI) go through these instead of
-    pattern-matching the game at every call site. *)
+(** {1 Checking a game} *)
 
 val check : ?pool:Pool.t -> Game.t -> Graph.t -> verdict
-(** [check game g] is {!check_sum} for [Sum] and {!check_max} for [Max];
-    [?pool] as below. For [Alpha a] the scan asks
-    {!Alpha_game.first_improving_move} agent by agent (lowest agent,
-    first move in enumeration order — the same witness convention as the
-    basic games) and reports an {!Alpha_violation}; [?pool] is ignored
-    there. *)
+(** [check game g] scans agents in order and reports the lowest agent's
+    first violating move in enumeration order.
+    - [Sum]: no swap strictly decreases the actor's distance sum.
+      Deletions never decrease a distance sum so they are not checked.
+    - [Max]: no swap strictly decreases the actor's local diameter,
+      {b and} every incident deletion strictly increases it. A reported
+      [Violation (Delete _, d)] with [d <= 0] is a failure of the
+      deletion-criticality half.
+    - [Alpha a]: no Buy/Sell/Swap_owned move under default ownership
+      strictly decreases the actor's cost
+      ({!Alpha_game.first_improving_move}); reported as an
+      {!Alpha_violation}.
+
+    With [?pool] the per-agent scans run across domains, each on its own
+    graph copy; the verdict — including the exact witness move — is
+    identical to the sequential scan. *)
 
 val is_equilibrium : ?pool:Pool.t -> Game.t -> Graph.t -> bool
 
-(** {1 Sum version} *)
+val agent_scan : Game.t -> Graph.t -> int -> verdict
+(** [agent_scan game g] binds one evaluation state to [g] and returns the
+    per-agent scan that {!check} is built from: agent [v] maps to its
+    first violating move ({!Violation} or {!Alpha_violation}), or to
+    [Equilibrium] when it has none. Connectivity is not checked. The
+    swap games share one {!Swap_eval} engine across agents, which
+    applies and undoes candidate moves on [g] (so [g] must not be
+    touched concurrently); the α state works on its own copy. *)
 
-val check_sum : ?pool:Pool.t -> Graph.t -> verdict
-(** Sum equilibrium: no swap strictly decreases the actor's distance sum.
-    Deletions never decrease a distance sum so they are not checked.
-    With [?pool] the per-agent move scans run across domains, each on its
-    own graph copy and BFS workspace; the verdict — including the exact
-    witness move — is identical to the sequential scan (lowest agent,
-    first move in enumeration order). *)
+(** {1 Deletion, insertion and multi-swap stability}
 
-val is_sum_equilibrium : ?pool:Pool.t -> Graph.t -> bool
-
-(** {1 Max version} *)
-
-val check_max : ?pool:Pool.t -> Graph.t -> verdict
-(** Max equilibrium per the paper: no swap strictly decreases the actor's
-    local diameter, {b and} every incident deletion strictly increases it.
-    A reported [Violation (Delete _, d)] with [d <= 0] is a failure of the
-    deletion-criticality half. [?pool] as in {!check_sum}. *)
-
-val is_max_equilibrium : ?pool:Pool.t -> Graph.t -> bool
+    Deletion and insertion checks use the max game's cost (the local
+    diameter); the k-swap checks take the game. *)
 
 val is_deletion_critical : Graph.t -> bool
 (** Deleting any edge strictly increases the local diameter of both
@@ -78,17 +76,17 @@ val is_stable_under_insertions : Graph.t -> k:int -> bool
     of Section 4 (stable for [k = d - 1]). Cost grows as C(n, k); intended
     for small instances. *)
 
-val is_stable_under_k_swaps :
-  Usage_cost.version -> Graph.t -> k:int -> bool
-(** Exhaustive multi-swap stability for either version: for every agent,
-    every set of [j <= k] incident edges simultaneously re-pointed at [j]
-    distinct fresh targets does not strictly decrease the agent's cost.
+val is_stable_under_k_swaps : Game.t -> Graph.t -> k:int -> bool
+(** Exhaustive multi-swap stability under the game's usage cost: for
+    every agent, every set of [j <= k] incident edges simultaneously
+    re-pointed at [j] distinct fresh targets does not strictly decrease
+    the agent's cost.
     [k = 1] coincides with the single-swap half of the equilibrium
     condition. Cost is C(deg, j)·C(n, j) per agent — intended for small
     instances (the Section 4 trade-off experiments). *)
 
 val find_k_swap_violation :
-  Usage_cost.version -> Graph.t -> k:int -> (int * (int * int) list) option
+  Game.t -> Graph.t -> k:int -> (int * (int * int) list) option
 (** Witness for the failure of {!is_stable_under_k_swaps}: the agent and
     the (drop, add) pairing that improves it. *)
 

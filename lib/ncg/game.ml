@@ -6,14 +6,7 @@ let equal a b =
   | Alpha x, Alpha y -> Float.equal x y
   | (Sum | Max | Alpha _), _ -> false
 
-let basic = function
-  | Sum -> Some Usage_cost.Sum
-  | Max -> Some Usage_cost.Max
-  | Alpha _ -> None
-
-let is_basic g = basic g <> None
-
-let of_version = function Usage_cost.Sum -> Sum | Usage_cost.Max -> Max
+let is_basic = function Sum | Max -> true | Alpha _ -> false
 
 (* Shortest decimal form that parses back to exactly the same float, so
    the qcheck round-trip [of_string (to_string g) = Ok g] holds and the
@@ -49,14 +42,3 @@ let move_set = function
   | Sum -> "swap"
   | Max -> "swap+delete"
   | Alpha _ -> "buy/sell/swap-owned"
-
-let social_cost game g =
-  match game with
-  | Sum | Max ->
-    let v = match game with Sum -> Usage_cost.Sum | _ -> Usage_cost.Max in
-    let c = Usage_cost.social_cost v g in
-    if Usage_cost.is_infinite c then infinity else float_of_int c
-  | Alpha a ->
-    let dist = Usage_cost.social_cost Usage_cost.Sum g in
-    if Usage_cost.is_infinite dist then infinity
-    else (a *. float_of_int (Graph.m g)) +. float_of_int dist

@@ -1,9 +1,10 @@
 (** First-class game registry.
 
-    Every subsystem that used to pattern-match the closed
-    {!Usage_cost.version} enum — the censuses, dynamics, the hunter, the
-    serving wire protocol, atlas key namespaces, telemetry labels, the
-    CLI — dispatches on a {!t} instead. The two basic games of the paper
+    The one game type of the library: the CLI, the serving wire
+    protocol, atlas key namespaces, telemetry labels, the censuses,
+    dynamics and the hunter all the way down to the cost kernel
+    ({!Usage_cost}, {!Swap_eval}) dispatch on a {!t}. The two basic games
+    of the paper
     keep their exact historical spellings ([sum], [max]) so existing
     output, atlas keys, and journal headers stay byte-identical; the
     α-parameterized creation game of Fabrikant et al. rides behind
@@ -20,24 +21,17 @@ type t =
 
 val equal : t -> t -> bool
 
-val basic : t -> Usage_cost.version option
-(** The underlying two-constructor kernel version for the basic swap
-    games; [None] for [Alpha _]. Low-level engines ({!Swap_eval},
-    {!Usage_cost}) keep speaking {!Usage_cost.version}; this is the
-    bridge down. *)
-
 val is_basic : t -> bool
-
-val of_version : Usage_cost.version -> t
-(** The bridge up; total. *)
+(** [true] for the two swap games of the paper ([Sum], [Max]); [false]
+    for [Alpha _]. *)
 
 val to_string : t -> string
 (** Canonical string form: ["sum"], ["max"], or ["alpha:1.5"]. The α is
     printed in shortest round-trip form, so
-    [of_string (to_string g) = Ok g] for every [g]. For [Sum]/[Max] this
-    equals {!Usage_cost.version_name} — atlas keys, journal headers, and
-    wire encodings built from it are byte-identical to their historical
-    spellings. *)
+    [of_string (to_string g) = Ok g] for every [g]. The [Sum]/[Max]
+    spellings are the historical ones, so atlas keys, journal headers,
+    and wire encodings built from them are byte-identical to older
+    releases. *)
 
 val of_string : string -> (t, string) result
 (** Total parser of the canonical forms, shared by the CLI [--game]
@@ -50,9 +44,3 @@ val pp : Format.formatter -> t -> unit
 val move_set : t -> string
 (** Human-readable deviation move set, for docs and telemetry:
     ["swap"], ["swap+delete"], or ["buy/sell/swap-owned"]. *)
-
-val social_cost : t -> Graph.t -> float
-(** The cost function the game optimizes socially. [Sum]/[Max] lift
-    {!Usage_cost.social_cost} to float ({!Usage_cost.infinite} becomes
-    [infinity]); [Alpha a] is α·m + Σ distances with the default
-    ownership (social cost does not depend on who owns an edge). *)

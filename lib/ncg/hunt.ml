@@ -33,53 +33,13 @@ type result = {
   evaluated : int;
 }
 
-let violating_agents_alpha alpha g =
-  let st = Alpha_game.create ~alpha g in
+let violating_agents game g =
+  let scan = Equilibrium.agent_scan game g in
   let count = ref 0 in
   for v = 0 to Graph.n g - 1 do
-    if Alpha_game.first_improving_move st v <> None then incr count
+    match scan v with Equilibrium.Equilibrium -> () | _ -> incr count
   done;
   !count
-
-let violating_agents_basic version g =
-  let n = Graph.n g in
-  let eng = Swap_eval.create g in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    let improving =
-      match Swap_eval.first_improving_move eng version v with
-      | Some _ -> true
-      | None -> (
-        match version with
-        | Usage_cost.Sum -> false
-        | Usage_cost.Max ->
-          (* non-critical deletions also break max equilibrium; their
-             deltas come off the engine's cached drop rows *)
-          let bad = ref false in
-          Array.iter
-            (fun drop ->
-              if not !bad then
-                match
-                  Swap_eval.delta_below eng Usage_cost.Max
-                    (Swap.Delete { actor = v; drop })
-                    ~cutoff:1
-                with
-                | Some _ -> bad := true
-                | None -> ())
-            (Graph.neighbors g v);
-          !bad)
-    in
-    if improving then incr count
-  done;
-  !count
-
-let violating_agents game g =
-  match Game.basic game with
-  | Some version -> violating_agents_basic version g
-  | None -> (
-    match game with
-    | Game.Alpha a -> violating_agents_alpha a g
-    | Game.Sum | Game.Max -> assert false)
 
 (* Objective: lexicographic (diameter shortfall, violations), folded into a
    single float so annealing can compare. A huge weight keeps the diameter

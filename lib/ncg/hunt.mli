@@ -36,11 +36,11 @@ type result = {
 }
 
 val violating_agents : Game.t -> Graph.t -> int
-(** Number of agents holding at least one improving move (the search
-    objective; 0 iff equilibrium for connected graphs). For the max version
-    an agent also violates by holding a non-critical deletion; for
-    [Alpha _] the moves are Buy/Sell/Swap_owned under default
-    ownership. *)
+(** Number of agents holding at least one violating move per
+    {!Equilibrium.agent_scan} (the search objective; 0 iff equilibrium
+    for connected graphs). For the max game an agent also violates by
+    holding a non-critical deletion; for [Alpha _] the moves are
+    Buy/Sell/Swap_owned under default ownership. *)
 
 val run : Prng.t -> config -> result
 

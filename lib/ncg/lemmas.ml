@@ -13,7 +13,7 @@ let check_lemma6 g =
     | Some 2 ->
       Swap.iter_moves g !v (fun mv ->
           if !bad = None then begin
-            let d = Swap.delta ws Usage_cost.Sum g mv in
+            let d = Swap.delta ws Game.Sum g mv in
             if d < 0 then
               bad :=
                 Some
@@ -114,7 +114,7 @@ let check_lemma8 g =
 let theorem5_case_analysis () =
   let g = Constructions.theorem5_graph in
   let ws = Bfs.create_workspace (Graph.n g) in
-  let improves mv = Swap.delta ws Usage_cost.Sum g mv < 0 in
+  let improves mv = Swap.delta ws Game.Sum g mv < 0 in
   let vx = Constructions.theorem5_vertex in
   let all_ok actor candidates =
     List.for_all (fun (drop, add) ->

@@ -8,10 +8,10 @@ let diameter_ratio g =
     else Some (float_of_int d /. float_of_int opt)
 
 let sum_cost_ratio g =
-  let cost = Usage_cost.social_cost Usage_cost.Sum g in
+  let cost = Usage_cost.social_cost Game.Sum g in
   if Usage_cost.is_infinite cost then None
   else begin
-    let lb = Usage_cost.social_cost_lower_bound Usage_cost.Sum ~n:(Graph.n g) ~m:(Graph.m g) in
+    let lb = Usage_cost.social_cost_lower_bound Game.Sum ~n:(Graph.n g) ~m:(Graph.m g) in
     if lb <= 0 then Some 1.0 else Some (float_of_int cost /. float_of_int lb)
   end
 
@@ -21,7 +21,7 @@ let exact_optimum_sum n m =
     let best = ref None in
     Enumerate.connected_graphs n (fun g ->
         if Graph.m g = m then begin
-          let c = Usage_cost.social_cost Usage_cost.Sum g in
+          let c = Usage_cost.social_cost Game.Sum g in
           match !best with
           | Some b when b <= c -> ()
           | _ -> best := Some c
@@ -35,8 +35,8 @@ let exact_sum_poa n m =
   | Some opt ->
     let worst = ref None in
     Enumerate.connected_graphs n (fun g ->
-        if Graph.m g = m && Equilibrium.is_sum_equilibrium g then begin
-          let c = Usage_cost.social_cost Usage_cost.Sum g in
+        if Graph.m g = m && Equilibrium.is_equilibrium Game.Sum g then begin
+          let c = Usage_cost.social_cost Game.Sum g in
           match !worst with
           | Some w when w >= c -> ()
           | _ -> worst := Some c

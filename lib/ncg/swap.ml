@@ -33,11 +33,11 @@ let undo g = function
     Graph.add_edge g actor drop
   | Delete { actor; drop } -> Graph.add_edge g actor drop
 
-let delta ws version g mv =
+let delta ws game g mv =
   let a = actor mv in
-  let before = Usage_cost.vertex_cost ws version g a in
+  let before = Usage_cost.vertex_cost ws game g a in
   apply g mv;
-  let after = Usage_cost.vertex_cost ws version g a in
+  let after = Usage_cost.vertex_cost ws game g a in
   undo g mv;
   after - before
 
@@ -77,10 +77,10 @@ let iter_all_moves ?include_deletions g f =
     iter_moves ?include_deletions g v f
   done
 
-let best_move ws version g v =
+let best_move ws game g v =
   let best = ref None in
   iter_moves g v (fun mv ->
-      let d = delta ws version g mv in
+      let d = delta ws game g mv in
       if d < 0 then
         match !best with
         | Some (_, bd) when bd <= d -> ()
@@ -89,21 +89,21 @@ let best_move ws version g v =
 
 exception Found of move * int
 
-let first_improving_move ws version g v =
+let first_improving_move ws game g v =
   try
     iter_moves g v (fun mv ->
-        let d = delta ws version g mv in
+        let d = delta ws game g mv in
         if d < 0 then raise (Found (mv, d)));
     None
   with Found (mv, d) -> Some (mv, d)
 
-let random_improving_move rng ws version g v =
+let random_improving_move rng ws game g v =
   (* reservoir sampling: the k-th improving move replaces the current pick
      with probability 1/k, yielding a uniform choice in one pass *)
   let pick = ref None in
   let seen = ref 0 in
   iter_moves g v (fun mv ->
-      let d = delta ws version g mv in
+      let d = delta ws game g mv in
       if d < 0 then begin
         incr seen;
         if Prng.int rng !seen = 0 then pick := Some (mv, d)

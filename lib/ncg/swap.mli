@@ -35,8 +35,8 @@ val apply : Graph.t -> move -> unit
 val undo : Graph.t -> move -> unit
 (** Exact inverse of {!apply}. *)
 
-val delta : Bfs.workspace -> Usage_cost.version -> Graph.t -> move -> int
-(** [delta ws version g mv] is (actor's cost after) − (actor's cost
+val delta : Bfs.workspace -> Game.t -> Graph.t -> move -> int
+(** [delta ws game g mv] is (actor's cost after) − (actor's cost
     before); negative means the move strictly improves the actor. The
     graph is returned unchanged. Disconnection makes the after-cost
     {!Usage_cost.infinite}. This is the naive apply/BFS/undo oracle;
@@ -46,24 +46,24 @@ val iter_moves :
   ?include_deletions:bool -> Graph.t -> int -> (move -> unit) -> unit
 (** All moves available to one agent: each incident edge against each
     non-neighbor, plus (optionally) each incident deletion. Deletions are
-    off by default — they never help in the sum version. *)
+    off by default — they never help in the sum game. *)
 
 val iter_all_moves :
   ?include_deletions:bool -> Graph.t -> (move -> unit) -> unit
 
 val best_move :
-  Bfs.workspace -> Usage_cost.version -> Graph.t -> int -> (move * int) option
+  Bfs.workspace -> Game.t -> Graph.t -> int -> (move * int) option
 (** Most-improving swap for one agent: the move with the smallest strictly
     negative delta, or [None] at a local optimum. Ties broken by move
     enumeration order. *)
 
 val first_improving_move :
-  Bfs.workspace -> Usage_cost.version -> Graph.t -> int -> (move * int) option
+  Bfs.workspace -> Game.t -> Graph.t -> int -> (move * int) option
 
 val random_improving_move :
   Prng.t ->
   Bfs.workspace ->
-  Usage_cost.version ->
+  Game.t ->
   Graph.t ->
   int ->
   (move * int) option

@@ -29,7 +29,7 @@ let m_aux = Telemetry.counter "swap_eval.aux_scans"
 
 (* One single-source distance vector plus its summaries. [by_far] is the
    vertex order sorted by decreasing distance, built lazily — only the
-   max-version bound scan wants it. *)
+   max-game bound scan wants it. *)
 type row = {
   dist : int array;
   row_sum : int;
@@ -200,9 +200,9 @@ let by_far_of n r =
 
 let connected t = t.n <= 1 || (get_row t 0).row_reached = t.n
 
-let cost_of_row version n r =
+let cost_of_row game n r =
   if r.row_reached < n then Usage_cost.infinite
-  else match version with Usage_cost.Sum -> r.row_sum | Usage_cost.Max -> r.row_ecc
+  else match game with Game.Max -> r.row_ecc | Game.Sum | Game.Alpha _ -> r.row_sum
 
 (* Any finite distance in an n-vertex graph is < n, so clamping the
    unreachable sentinel to n keeps every arithmetic bound below both
@@ -213,7 +213,7 @@ let clamp n d = if d > n then n else d
    graph, aborting as soon as the result provably reaches [target].
    Returns (cost, aborted): when not aborted the cost is exact
    ({!Usage_cost.infinite} on disconnection). *)
-let bounded_cost t version ~target src =
+let bounded_cost t game ~target src =
   t.gen <- t.gen + 1;
   let gen = t.gen in
   t.sdist.(src) <- 0;
@@ -237,9 +237,9 @@ let bounded_cost t version ~target src =
           incr tail
         end)
       t.g v;
-    match version with
-    | Usage_cost.Max -> if !ecc >= target then aborted := true
-    | Usage_cost.Sum ->
+    match game with
+    | Game.Max -> if !ecc >= target then aborted := true
+    | Game.Sum | Game.Alpha _ ->
       (* BFS level property: every vertex not yet pushed while popping a
          depth-(dnext-1) node is at distance >= dnext *)
       if !sum + ((t.n - !tail) * dnext) >= target then aborted := true
@@ -248,13 +248,13 @@ let bounded_cost t version ~target src =
   if !aborted then (0, true)
   else if !tail < t.n then (Usage_cost.infinite, false)
   else
-    ((match version with Usage_cost.Sum -> !sum | Usage_cost.Max -> !ecc), false)
+    ((match game with Game.Max -> !ecc | Game.Sum | Game.Alpha _ -> !sum), false)
 
-let fallback t version ~cutoff ~before mv =
+let fallback t game ~cutoff ~before mv =
   Telemetry.incr m_fallbacks;
   Swap.apply t.g mv;
   let after, aborted =
-    bounded_cost t version ~target:(before + cutoff) (Swap.actor mv)
+    bounded_cost t game ~target:(before + cutoff) (Swap.actor mv)
   in
   Swap.undo t.g mv;
   if aborted then begin
@@ -291,10 +291,10 @@ let fallback t version ~cutoff ~before mv =
    exactly two components and vw' rejoins them, so the bounds below
    apply as usual (with the drop row synthesized, not BFS-computed,
    whenever vw is a bridge). *)
-let eval_swap t version ~cutoff ~actor ~drop ~add =
+let eval_swap t game ~cutoff ~actor ~drop ~add =
   let n = t.n in
   let arow = get_row t actor in
-  let before = cost_of_row version n arow in
+  let before = cost_of_row game n arow in
   let label, nbrs = get_aux t actor in
   if
     (not (Usage_cost.is_infinite before))
@@ -321,8 +321,8 @@ let eval_swap t version ~cutoff ~actor ~drop ~add =
     let c = label.(drop) in
     Telemetry.incr m_row_exact;
     let after =
-      match version with
-      | Usage_cost.Sum ->
+      match game with
+      | Game.Sum | Game.Alpha _ ->
         let s = ref 0 in
         for x = 0 to n - 1 do
           if x <> actor then
@@ -331,7 +331,7 @@ let eval_swap t version ~cutoff ~actor ~drop ~add =
               + (if label.(x) = c then 1 + addrow.dist.(x) else arow.dist.(x))
         done;
         !s
-      | Usage_cost.Max ->
+      | Game.Max ->
         let e = ref 0 in
         for x = 0 to n - 1 do
           if x <> actor then begin
@@ -362,8 +362,8 @@ let eval_swap t version ~cutoff ~actor ~drop ~add =
           1 + max 1 (max t1 t2)
         end
       in
-      match version with
-      | Usage_cost.Sum ->
+      match game with
+      | Game.Sum | Game.Alpha _ ->
         (* certified once the lower bounds collected so far, plus >= 1
            for every vertex not yet scanned, already reach the target *)
         let lb = ref 0 in
@@ -379,7 +379,7 @@ let eval_swap t version ~cutoff ~actor ~drop ~add =
           incr x
         done;
         !ok
-      | Usage_cost.Max ->
+      | Game.Max ->
         (* one vertex provably still at distance >= target suffices; scan
            in decreasing drop-row distance so the far vertices come
            first, and stop once the drop row itself drops below target *)
@@ -402,58 +402,58 @@ let eval_swap t version ~cutoff ~actor ~drop ~add =
     Telemetry.incr m_certified;
     None
   end
-  else fallback t version ~cutoff ~before (Swap.Swap { actor; drop; add })
+  else fallback t game ~cutoff ~before (Swap.Swap { actor; drop; add })
   end
 
-let delta_below t version mv ~cutoff =
+let delta_below t game mv ~cutoff =
   Telemetry.incr m_moves;
   match mv with
-  | Swap.Swap { actor; drop; add } -> eval_swap t version ~cutoff ~actor ~drop ~add
+  | Swap.Swap { actor; drop; add } -> eval_swap t game ~cutoff ~actor ~drop ~add
   | Swap.Delete { actor; drop } ->
     (* the drop row is the exact post-deletion distance vector *)
     let arow = get_row t actor in
-    let before = cost_of_row version t.n arow in
+    let before = cost_of_row game t.n arow in
     let ddrow = get_drop_row t actor drop in
-    let after = cost_of_row version t.n ddrow in
+    let after = cost_of_row game t.n ddrow in
     Telemetry.incr m_row_exact;
     let d = after - before in
     if d < cutoff then Some d else None
 
-let delta t version mv =
+let delta t game mv =
   (* a cutoff no finite delta reaches: bounds never certify against it
      and the fallback BFS never aborts, so the result is always exact *)
-  match delta_below t version mv ~cutoff:(max_int / 2) with
+  match delta_below t game mv ~cutoff:(max_int / 2) with
   | Some d -> d
   | None -> assert false
 
-let best_move t version v =
+let best_move t game v =
   let best = ref None in
   Swap.iter_moves t.g v (fun mv ->
       let cutoff = match !best with None -> 0 | Some (_, bd) -> bd in
-      match delta_below t version mv ~cutoff with
+      match delta_below t game mv ~cutoff with
       | Some d -> best := Some (mv, d)
       | None -> ());
   !best
 
 exception Found of Swap.move * int
 
-let first_improving_move t version v =
+let first_improving_move t game v =
   try
     Swap.iter_moves t.g v (fun mv ->
-        match delta_below t version mv ~cutoff:0 with
+        match delta_below t game mv ~cutoff:0 with
         | Some d -> raise (Found (mv, d))
         | None -> ());
     None
   with Found (mv, d) -> Some (mv, d)
 
-let random_improving_move rng t version v =
+let random_improving_move rng t game v =
   (* reservoir sampling over the improving moves, identical to the naive
      scan: certified-non-improving candidates consume no randomness there
      either, so the PRNG streams coincide *)
   let pick = ref None in
   let seen = ref 0 in
   Swap.iter_moves t.g v (fun mv ->
-      match delta_below t version mv ~cutoff:0 with
+      match delta_below t game mv ~cutoff:0 with
       | Some d ->
         incr seen;
         if Prng.int rng !seen = 0 then pick := Some (mv, d)

@@ -58,16 +58,16 @@ val invalidate : t -> unit
     undoes candidate moves internally; that does not require
     invalidation). *)
 
-val delta_below : t -> Usage_cost.version -> Swap.move -> cutoff:int -> int option
-(** [delta_below eng version mv ~cutoff] is [Some d] with the {e exact}
-    delta [d = Swap.delta ws version g mv] when [d < cutoff], and [None]
+val delta_below : t -> Game.t -> Swap.move -> cutoff:int -> int option
+(** [delta_below eng game mv ~cutoff] is [Some d] with the {e exact}
+    delta [d = Swap.delta ws game g mv] when [d < cutoff], and [None]
     when the engine certifies [d >= cutoff] (possibly without computing
     [d] exactly). [cutoff = 0] asks for strictly improving moves;
-    [cutoff = 1] for non-worsening ones (the max-version deletion
+    [cutoff = 1] for non-worsening ones (the max-game deletion
     criterion); a current best delta as cutoff prunes to strictly better
     moves only. The graph is returned unchanged. *)
 
-val delta : t -> Usage_cost.version -> Swap.move -> int
+val delta : t -> Game.t -> Swap.move -> int
 (** Exact delta, always computed: equal to {!Swap.delta} on the same
     graph (including the {!Usage_cost.infinite} convention on
     disconnection). *)
@@ -79,9 +79,9 @@ val delta : t -> Usage_cost.version -> Swap.move -> int
     random variant the same PRNG stream — non-improving candidates do not
     consume randomness in either implementation). *)
 
-val best_move : t -> Usage_cost.version -> int -> (Swap.move * int) option
+val best_move : t -> Game.t -> int -> (Swap.move * int) option
 
-val first_improving_move : t -> Usage_cost.version -> int -> (Swap.move * int) option
+val first_improving_move : t -> Game.t -> int -> (Swap.move * int) option
 
 val random_improving_move :
-  Prng.t -> t -> Usage_cost.version -> int -> (Swap.move * int) option
+  Prng.t -> t -> Game.t -> int -> (Swap.move * int) option

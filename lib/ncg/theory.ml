@@ -28,9 +28,9 @@ let removal_cost_from g x y =
   (* increase in x's distance sum when edge xy is removed; infinite if the
      removal disconnects *)
   let ws = Bfs.create_workspace (Graph.n g) in
-  let before = Usage_cost.vertex_cost ws Usage_cost.Sum g x in
+  let before = Usage_cost.vertex_cost ws Game.Sum g x in
   Graph.remove_edge g x y;
-  let after = Usage_cost.vertex_cost ws Usage_cost.Sum g x in
+  let after = Usage_cost.vertex_cost ws Game.Sum g x in
   Graph.add_edge g x y;
   if Usage_cost.is_infinite after then Usage_cost.infinite else after - before
 
@@ -76,9 +76,9 @@ let corollary11_max_gain g =
   List.iter
     (fun (u, v) ->
       let check x =
-        let before = Usage_cost.vertex_cost ws Usage_cost.Sum g x in
+        let before = Usage_cost.vertex_cost ws Game.Sum g x in
         Graph.add_edge g u v;
-        let after = Usage_cost.vertex_cost ws Usage_cost.Sum g x in
+        let after = Usage_cost.vertex_cost ws Game.Sum g x in
         Graph.remove_edge g u v;
         let gain = before - after in
         if gain > !best then best := gain

@@ -53,8 +53,8 @@ let diametral_path g =
   in
   walk b []
 
-let verified_witness ws version g mv =
-  let d = Swap.delta ws version g mv in
+let verified_witness ws game g mv =
+  let d = Swap.delta ws game g mv in
   assert (d < 0);
   Some (mv, d)
 
@@ -74,10 +74,10 @@ let theorem1_witness g =
          swap (1) [v re-hangs onto b] or swap (2) [w re-hangs onto a]
          strictly improves *)
       let mv1 = Swap.Swap { actor = v; drop = a; add = b } in
-      let d1 = Swap.delta ws Usage_cost.Sum g mv1 in
+      let d1 = Swap.delta ws Game.Sum g mv1 in
       if d1 < 0 then Some (mv1, d1)
       else
-        verified_witness ws Usage_cost.Sum g
+        verified_witness ws Game.Sum g
           (Swap.Swap { actor = w; drop = b; add = a })
     | _ -> assert false
   end
@@ -96,7 +96,7 @@ let theorem4_witness g =
     let center = arr.(diam / 2) in
     let w = arr.(diam) in
     let parent = arr.(diam - 1) in
-    verified_witness ws Usage_cost.Max g
+    verified_witness ws Game.Max g
       (Swap.Swap { actor = w; drop = parent; add = center })
   end
 

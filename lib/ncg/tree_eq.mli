@@ -35,10 +35,10 @@ val theorem4_witness : Graph.t -> (Swap.move * int) option
 val sum_eq_tree : Graph.t -> bool
 (** Exact sum-equilibrium test for trees: star check plus a defensive
     generic verification for small stars. Equivalent to
-    [Equilibrium.is_sum_equilibrium] on trees, but O(n) in the common
+    [Equilibrium.is_equilibrium Game.Sum] on trees, but O(n) in the common
     case. *)
 
 val max_eq_tree : Graph.t -> bool
 (** Exact max-equilibrium test for trees: diameter <= 3 shape analysis
     (star, or double star with >= 2 leaves per root), matching
-    [Equilibrium.is_max_equilibrium] on trees. *)
+    [Equilibrium.is_equilibrium Game.Max] on trees. *)

@@ -79,19 +79,6 @@ let best_swap p v =
     neighbors;
   !best
 
-let find_violation g =
-  let p = precompute g in
-  let rec scan v =
-    if v >= p.n then None
-    else
-      match best_swap p v with
-      | Some _ as witness -> witness
-      | None -> scan (v + 1)
-  in
-  scan 0
-
-let is_sum_equilibrium g = find_violation g = None
-
 (* --- max version -------------------------------------------------------- *)
 
 type max_precomp = {
@@ -171,50 +158,36 @@ let best_max_swap p v =
     neighbors;
   !best
 
-let is_max_equilibrium_tree g =
-  let p = precompute_max g in
-  let rec scan v = v >= p.mn || (best_max_swap p v = None && scan (v + 1)) in
+(* --- both games --------------------------------------------------------- *)
+
+(* The game's best-swap oracle over one fixed tree: the O(n²) tables are
+   built once and answer every agent until a move is applied. *)
+let best_of game g =
+  match game with
+  | Game.Sum -> best_swap (precompute g)
+  | Game.Max -> best_max_swap (precompute_max g)
+  | Game.Alpha _ -> invalid_arg "Tree_opt: no tree evaluator for the alpha game"
+
+let is_equilibrium game g =
+  let best = best_of game g in
+  let rec scan v = v >= Graph.n g || (best v = None && scan (v + 1)) in
   scan 0
 
-let converge_max ?(max_rounds = 10_000) g0 =
+let converge ?(max_rounds = 10_000) game g0 =
   require_tree g0;
   let g = Graph.copy g0 in
   let moves = ref 0 in
   let improved = ref true in
-  let p = ref (precompute_max g) in
+  let best = ref (best_of game g) in
   while !improved && !moves < max_rounds do
     improved := false;
     let v = ref 0 in
     let n = Graph.n g in
     while !v < n && !moves < max_rounds do
-      (match best_max_swap !p !v with
+      (match !best !v with
       | Some (mv, _) ->
         Swap.apply g mv;
-        p := precompute_max g;
-        incr moves;
-        improved := true
-      | None -> ());
-      incr v
-    done
-  done;
-  g, !moves
-
-let converge ?(max_rounds = 10_000) g0 =
-  require_tree g0;
-  let g = Graph.copy g0 in
-  let moves = ref 0 in
-  let improved = ref true in
-  (* the tables are only invalidated by an applied move *)
-  let p = ref (precompute g) in
-  while !improved && !moves < max_rounds do
-    improved := false;
-    let v = ref 0 in
-    let n = Graph.n g in
-    while !v < n && !moves < max_rounds do
-      (match best_swap !p !v with
-      | Some (mv, _) ->
-        Swap.apply g mv;
-        p := precompute g;
+        best := best_of game g;
         incr moves;
         improved := true
       | None -> ());

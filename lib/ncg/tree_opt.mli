@@ -21,7 +21,7 @@ val precompute : Graph.t -> precomp
 (** O(n²) time and memory. *)
 
 val sum_cost : precomp -> int -> int
-(** The agent's distance sum (same as [Usage_cost.vertex_cost Sum]). *)
+(** The agent's distance sum (same as [Usage_cost.vertex_cost Game.Sum]). *)
 
 val swap_delta : precomp -> actor:int -> drop:int -> add:int -> int
 (** O(1). Cost change for the actor of replacing edge actor–drop with
@@ -33,19 +33,6 @@ val best_swap : precomp -> int -> (Swap.move * int) option
 (** Most-improving swap of one agent, or [None]; O(n · deg). Agrees with
     [Swap.best_move] on trees (same tie-breaking by enumeration order:
     neighbors in row order, targets in increasing vertex order). *)
-
-val find_violation : Graph.t -> (Swap.move * int) option
-(** First agent (lowest index) with an improving swap, with its best move;
-    O(n²). *)
-
-val is_sum_equilibrium : Graph.t -> bool
-(** O(n²); agrees with [Equilibrium.is_sum_equilibrium] on trees. *)
-
-val converge : ?max_rounds:int -> Graph.t -> Graph.t * int
-(** Best-response rounds using the fast evaluator, recomputing the O(n²)
-    tables once per applied move. Returns the final tree and the number of
-    moves. By Theorem 1 the result is a star whenever it converges (the
-    round cap, default 10_000 moves, is a safety net). *)
 
 (** {1 Max version}
 
@@ -68,14 +55,21 @@ val max_swap_delta : max_precomp -> actor:int -> drop:int -> add:int -> int
 
 val best_max_swap : max_precomp -> int -> (Swap.move * int) option
 (** Most-improving max-swap of one agent; agrees with
-    [Swap.best_move ws Max] on trees. *)
+    [Swap.best_move ws Game.Max] on trees. *)
 
-val is_max_equilibrium_tree : Graph.t -> bool
-(** No agent holds an improving eccentricity swap. On trees every deletion
-    disconnects, so this coincides with [Equilibrium.is_max_equilibrium].
-    O(n²). *)
+(** {1 Both games} *)
 
-val converge_max : ?max_rounds:int -> Graph.t -> Graph.t * int
-(** Max-version best-response rounds over trees (swaps only — deletions
-    disconnect trees and are never improving). By Theorem 4 the result has
-    diameter <= 3 whenever it converges. *)
+val is_equilibrium : Game.t -> Graph.t -> bool
+(** No agent holds an improving swap under the game's cost; O(n²).
+    Agrees with [Equilibrium.is_equilibrium] on trees: a tree has no
+    non-critical deletion, since every deletion disconnects it.
+    @raise Invalid_argument for [Alpha _] (no tree evaluator). *)
+
+val converge : ?max_rounds:int -> Game.t -> Graph.t -> Graph.t * int
+(** Best-response rounds using the fast evaluator, recomputing the O(n²)
+    tables once per applied move (swaps only — deletions disconnect trees
+    and are never improving). Returns the final tree and the number of
+    moves; the round cap (default 10_000 moves) is a safety net. Whenever
+    it converges the result is a star for [Sum] (Theorem 1) and has
+    diameter <= 3 for [Max] (Theorem 4).
+    @raise Invalid_argument for [Alpha _]. *)

@@ -73,10 +73,11 @@ let run ?pool ?rng cfg csr =
   (* the certified-bound machinery and the CSR kernels speak the basic
      two-game cost model; the α-game (ownership state, float costs) has
      no sampled engine yet and is rejected up front with a clear error *)
-  let version =
-    match Game.basic cfg.game with
-    | Some v -> v
-    | None ->
+  let max_game =
+    match cfg.game with
+    | Game.Sum -> false
+    | Game.Max -> true
+    | Game.Alpha _ ->
       invalid_arg
         (Printf.sprintf
            "Scale_dynamics.run: the scale engine supports only the basic \
@@ -163,7 +164,8 @@ let run ?pool ?rng cfg csr =
   in
   let after_cost reached s e =
     if reached < n then inf
-    else match version with Usage_cost.Sum -> s | Usage_cost.Max -> e
+    else if max_game then e
+    else s
   in
   (* Neutral-deletion scan, mirroring Dynamics.find_neutral_deletion: Max
      only, sorted-row order, first drop with exact delta < 1. *)
@@ -195,7 +197,7 @@ let run ?pool ?rng cfg csr =
       if reached < n then invalid_arg "Scale_dynamics: graph became disconnected";
       let row = Flexcsr.neighbors fx v in
       let deletion =
-        if cfg.allow_deletions && version = Usage_cost.Max then
+        if cfg.allow_deletions && max_game then
           find_deletion v row ecc_v
         else None
       in
@@ -205,7 +207,7 @@ let run ?pool ?rng cfg csr =
         if deg >= n - 1 then None
         else begin
           let cost_v =
-            match version with Usage_cost.Sum -> sum_v | Usage_cost.Max -> ecc_v
+            if max_game then ecc_v else sum_v
           in
           let pairs =
             Dynamics.draw_sampled_candidates rng ~deg ~n ~budget:cfg.budget
@@ -240,7 +242,7 @@ let run ?pool ?rng cfg csr =
             pairs;
           if !ncand = 0 then None
           else begin
-            if version = Usage_cost.Sum then begin
+            if not max_game then begin
               (* one BFS per distinct drop: distances from v in G − vw,
                  folded into base = Σ_u min(dd_w(u), 2 + d_v(u)) *)
               let drop_slot = Hashtbl.create 8 in
@@ -319,7 +321,7 @@ let run ?pool ?rng cfg csr =
                     match !best with None -> 0 | Some (_, bd) -> bd
                   in
                   let certified =
-                    version = Usage_cost.Sum
+                    (not max_game)
                     && cand_delta.(c) = max_int
                     && acc.(c) - cost_v >= cutoff
                   in
@@ -366,7 +368,7 @@ let run ?pool ?rng cfg csr =
       ignore reached;
       let row = Flexcsr.neighbors fx v in
       let deletion =
-        if cfg.allow_deletions && version = Usage_cost.Max then
+        if cfg.allow_deletions && max_game then
           find_deletion v row ecc_v
         else None
       in
@@ -374,7 +376,7 @@ let run ?pool ?rng cfg csr =
       | Some _ as d -> d
       | None ->
         let cost_v =
-          match version with Usage_cost.Sum -> sum_v | Usage_cost.Max -> ecc_v
+          if max_game then ecc_v else sum_v
         in
         let found = ref None in
         (try

@@ -34,7 +34,7 @@ let test_ownership_blocks_deviations () =
   check_true "leaf has no owner-move" (Asym_swap.best_move t 4 = None);
   let ws = Bfs.create_workspace 5 in
   check_true "but a symmetric move exists"
-    (Swap.first_improving_move ws Usage_cost.Sum g 4 <> None)
+    (Swap.first_improving_move ws Game.Sum g 4 <> None)
 
 let test_best_move_improves () =
   let g = Generators.path 6 in
@@ -72,7 +72,7 @@ let test_asym_moves_subset_of_symmetric =
           (* the same move must be available and equally valued in the
              symmetric game *)
           if not (Swap.is_applicable g mv) then ok := false
-          else if Swap.delta ws Usage_cost.Sum g mv <> d then ok := false
+          else if Swap.delta ws Game.Sum g mv <> d then ok := false
         | None -> ()
       done;
       !ok)

@@ -39,7 +39,7 @@ let brute_force_sum_census n =
   let total = ref 0 and equilibria = ref 0 and stars = ref 0 in
   Enumerate.trees_in n ~lo:0 ~hi:(Enumerate.count_trees n) (fun g ->
       Stdlib.incr total;
-      let eq = Equilibrium.is_sum_equilibrium g in
+      let eq = Equilibrium.is_equilibrium Game.Sum g in
       let star = Tree_eq.is_star g in
       check_bool "sum equilibrium iff star (Theorem 1)" star eq;
       if eq then Stdlib.incr equilibria;
@@ -67,14 +67,14 @@ let test_graph_census_sum () =
   check_int "iso classes" 5 (List.length c.Census.equilibria_iso);
   check_int "max diameter" 2 c.Census.max_diameter;
   List.iter
-    (fun g -> check_true "each representative verified" (Equilibrium.is_sum_equilibrium g))
+    (fun g -> check_true "each representative verified" (Equilibrium.is_equilibrium Game.Sum g))
     c.Census.equilibria_iso
 
 let test_graph_census_max () =
   let c = Census.graph_census Game.Max 5 in
   check_int "iso classes" 4 (List.length c.Census.equilibria_iso);
   List.iter
-    (fun g -> check_true "verified" (Equilibrium.is_max_equilibrium g))
+    (fun g -> check_true "verified" (Equilibrium.is_equilibrium Game.Max g))
     c.Census.equilibria_iso
 
 let test_graph_census_max_diameter3_at_6 () =

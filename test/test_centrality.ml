@@ -85,7 +85,7 @@ let test_betweenness_pair_count =
 let test_star_center_most_between =
   qcheck ~count:30 "sum equilibria from tree dynamics: center dominates"
     (gen_tree ~min_n:4 ~max_n:12) (fun g ->
-      let r = Dynamics.converge_sum g in
+      let r = Dynamics.run (Dynamics.default_config Game.Sum) g in
       r.Dynamics.outcome <> Dynamics.Converged
       ||
       let b = Centrality.betweenness r.Dynamics.final in

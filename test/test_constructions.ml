@@ -35,8 +35,8 @@ let test_theorem5_reproduction_finding () =
   let g = Constructions.theorem5_graph in
   let w = Bfs.create_workspace 13 in
   check_int "documented swap improves by 1" (-1)
-    (Swap.delta w Usage_cost.Sum g Constructions.theorem5_improving_swap);
-  check_false "hence not a sum equilibrium" (Equilibrium.is_sum_equilibrium g)
+    (Swap.delta w Game.Sum g Constructions.theorem5_improving_swap);
+  check_false "hence not a sum equilibrium" (Equilibrium.is_equilibrium Game.Sum g)
 
 let test_theorem5_variants_all_fail () =
   (* both iso classes of the matching triangle admit an improving swap *)
@@ -45,7 +45,7 @@ let test_theorem5_variants_all_fail () =
       let g = Constructions.theorem5_variant ~crossed in
       check_int "13 vertices" 13 (Graph.n g);
       check_int "21 edges" 21 (Graph.m g);
-      check_false "not a sum equilibrium" (Equilibrium.is_sum_equilibrium g))
+      check_false "not a sum equilibrium" (Equilibrium.is_equilibrium Game.Sum g))
     [
       (false, false, false);
       (false, false, true);
@@ -65,18 +65,18 @@ let test_diameter3_witness () =
   let g = Constructions.sum_diameter3_witness in
   check_int "n" 11 (Graph.n g);
   Alcotest.(check (option int)) "diameter 3" (Some 3) (Metrics.diameter g);
-  check_true "verified sum equilibrium" (Equilibrium.is_sum_equilibrium g)
+  check_true "verified sum equilibrium" (Equilibrium.is_equilibrium Game.Sum g)
 
 let test_cycle_with_pendant_not_eq () =
-  check_false "C5+pendant" (Equilibrium.is_sum_equilibrium (Constructions.cycle_with_pendant 5));
-  check_false "C7+pendant" (Equilibrium.is_sum_equilibrium (Constructions.cycle_with_pendant 7))
+  check_false "C5+pendant" (Equilibrium.is_equilibrium Game.Sum (Constructions.cycle_with_pendant 5));
+  check_false "C7+pendant" (Equilibrium.is_equilibrium Game.Sum (Constructions.cycle_with_pendant 7))
 
 let test_max_diameter4_small () =
   let g = Constructions.max_diameter4_small in
   check_int "n" 10 (Graph.n g);
   check_int "m" 10 (Graph.m g);
   Alcotest.(check (option int)) "diameter 4" (Some 4) (Metrics.diameter g);
-  check_true "max equilibrium" (Equilibrium.is_max_equilibrium g);
+  check_true "max equilibrium" (Equilibrium.is_equilibrium Game.Max g);
   check_true "is the 5-sunlet" (Canon.isomorphic g (Generators.sunlet 5))
 
 let test_sunlet_equilibrium_pattern () =
@@ -86,7 +86,7 @@ let test_sunlet_equilibrium_pattern () =
       check_bool
         (Printf.sprintf "%d-sunlet" k)
         expected
-        (Equilibrium.is_max_equilibrium (Generators.sunlet k)))
+        (Equilibrium.is_equilibrium Game.Max (Generators.sunlet k)))
     [ (3, true); (4, false); (5, true); (6, false); (7, true); (8, false); (9, false) ]
 
 (* --- Theorem 12 torus ------------------------------------------------ *)
@@ -130,7 +130,7 @@ let test_torus_equilibrium () =
       let g = Constructions.torus k in
       check_true "deletion-critical" (Equilibrium.is_deletion_critical g);
       check_true "insertion-stable" (Equilibrium.is_insertion_stable g);
-      check_true "max equilibrium" (Equilibrium.is_max_equilibrium g))
+      check_true "max equilibrium" (Equilibrium.is_equilibrium Game.Max g))
     [ 2; 3; 4 ]
 
 let test_torus_vertex_transitive () =

@@ -2,7 +2,7 @@ open Test_helpers
 
 let test_star_is_fixed_point () =
   let g = Generators.star 8 in
-  let r = Dynamics.converge_sum g in
+  let r = Dynamics.run (Dynamics.default_config Game.Sum) g in
   check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
   check_int "no moves" 0 r.Dynamics.moves;
   check_true "unchanged" (Graph.equal g r.Dynamics.final)
@@ -10,27 +10,27 @@ let test_star_is_fixed_point () =
 let test_input_not_mutated () =
   let g = Generators.path 8 in
   let copy = Graph.copy g in
-  ignore (Dynamics.converge_sum g);
+  ignore (Dynamics.run (Dynamics.default_config Game.Sum) g);
   check_true "input untouched" (Graph.equal g copy)
 
 let test_path_converges_to_star () =
   (* Theorem 1: the only sum-equilibrium tree is the star, and swaps
      preserve edge count, so a tree must converge to a star *)
-  let r = Dynamics.converge_sum (Generators.path 10) in
+  let r = Dynamics.run (Dynamics.default_config Game.Sum) (Generators.path 10) in
   check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
   check_true "still a tree" (Components.is_tree r.Dynamics.final);
   check_true "is a star" (Tree_eq.is_star r.Dynamics.final)
 
 let test_sum_preserves_edge_count () =
   let g = Generators.cycle 9 in
-  let r = Dynamics.converge_sum g in
+  let r = Dynamics.run (Dynamics.default_config Game.Sum) g in
   check_int "m preserved" (Graph.m g) (Graph.m r.Dynamics.final)
 
 let test_max_deletions_shrink () =
   (* max dynamics may delete extraneous edges, never grows *)
   let rng = Prng.create 2 in
   let g = Random_graphs.connected_gnm rng 20 60 in
-  let r = Dynamics.converge_max ~rng g in
+  let r = Dynamics.run ~rng (Dynamics.default_config Game.Max) g in
   check_true "m non-increasing" (Graph.m r.Dynamics.final <= Graph.m g);
   check_true "still connected" (Components.is_connected r.Dynamics.final)
 
@@ -41,10 +41,10 @@ let test_converged_is_equilibrium () =
     let g = Random_graphs.connected_gnm rng2 15 30 in
     let r = Dynamics.run ~rng (Dynamics.default_config Game.Sum) g in
     if r.Dynamics.outcome = Dynamics.Converged then
-      check_true "verified equilibrium" (Equilibrium.is_sum_equilibrium r.Dynamics.final);
+      check_true "verified equilibrium" (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final);
     let rm = Dynamics.run ~rng (Dynamics.default_config Game.Max) g in
     if rm.Dynamics.outcome = Dynamics.Converged then
-      check_true "verified max equilibrium" (Equilibrium.is_max_equilibrium rm.Dynamics.final)
+      check_true "verified max equilibrium" (Equilibrium.is_equilibrium Game.Max rm.Dynamics.final)
   done
 
 let test_rules_all_converge () =
@@ -54,7 +54,7 @@ let test_rules_all_converge () =
       let rng = Prng.create 7 in
       let r = Dynamics.run ~rng cfg (Generators.path 12) in
       check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
-      check_true "equilibrium" (Equilibrium.is_sum_equilibrium r.Dynamics.final))
+      check_true "equilibrium" (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final))
     [ Dynamics.Best_response; Dynamics.First_improving; Dynamics.Random_improving ]
 
 let test_schedules_all_converge () =
@@ -64,7 +64,7 @@ let test_schedules_all_converge () =
       let rng = Prng.create 8 in
       let r = Dynamics.run ~rng cfg (Generators.cycle 11) in
       check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
-      check_true "equilibrium" (Equilibrium.is_sum_equilibrium r.Dynamics.final))
+      check_true "equilibrium" (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final))
     [ Dynamics.Round_robin; Dynamics.Random_agent ]
 
 let test_sampled_rule_converges () =
@@ -79,7 +79,7 @@ let test_sampled_rule_converges () =
   let rng = Prng.create 9 in
   let r = Dynamics.run ~rng cfg (Generators.path 12) in
   check_true "converged" (r.Dynamics.outcome = Dynamics.Converged);
-  check_true "verified equilibrium" (Equilibrium.is_sum_equilibrium r.Dynamics.final)
+  check_true "verified equilibrium" (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final)
 
 let test_sampled_convergence_is_certified () =
   (* Converged under Sampled means a FULL scan found nothing, not just a
@@ -96,7 +96,7 @@ let test_sampled_convergence_is_certified () =
     let g = Random_graphs.connected_gnm rng 12 20 in
     let r = Dynamics.run ~rng cfg g in
     if r.Dynamics.outcome = Dynamics.Converged then
-      check_true "certified" (Equilibrium.is_sum_equilibrium r.Dynamics.final)
+      check_true "certified" (Equilibrium.is_equilibrium Game.Sum r.Dynamics.final)
   done
 
 let test_trace_recording () =
@@ -123,19 +123,19 @@ let test_round_limit () =
 let test_disconnected_rejected () =
   Alcotest.check_raises "disconnected"
     (Invalid_argument "Dynamics.run: input must be connected") (fun () ->
-      ignore (Dynamics.converge_sum (Graph.create 3)))
+      ignore (Dynamics.run (Dynamics.default_config Game.Sum) (Graph.create 3)))
 
 let test_max_reaches_deletion_critical =
   qcheck ~count:15 "converged max dynamics is deletion-critical"
     (gen_connected ~min_n:5 ~max_n:12) (fun g ->
-      let r = Dynamics.converge_max g in
+      let r = Dynamics.run (Dynamics.default_config Game.Max) g in
       r.Dynamics.outcome <> Dynamics.Converged
       || Equilibrium.is_deletion_critical r.Dynamics.final)
 
 let test_social_cost_finite_throughout =
   qcheck ~count:15 "dynamics never disconnects the graph"
     (gen_connected ~min_n:4 ~max_n:12) (fun g ->
-      let r = Dynamics.converge_sum g in
+      let r = Dynamics.run (Dynamics.default_config Game.Sum) g in
       Components.is_connected r.Dynamics.final)
 
 let suite =

@@ -2,38 +2,38 @@ open Test_helpers
 
 let test_star_both_versions () =
   let g = Generators.star 6 in
-  check_true "sum" (Equilibrium.is_sum_equilibrium g);
-  check_true "max" (Equilibrium.is_max_equilibrium g)
+  check_true "sum" (Equilibrium.is_equilibrium Game.Sum g);
+  check_true "max" (Equilibrium.is_equilibrium Game.Max g)
 
 let test_complete_graph () =
   let g = Generators.complete 5 in
-  check_true "sum" (Equilibrium.is_sum_equilibrium g);
+  check_true "sum" (Equilibrium.is_equilibrium Game.Sum g);
   (* complete graphs are NOT max equilibria: deleting an edge keeps local
      diameter at... n=5: deleting uv leaves d(u,v)=2, ecc(u) was 1 -> 2,
      strictly increases, so deletion-critical holds; swaps cannot exist
      (no non-neighbors) *)
-  check_true "max" (Equilibrium.is_max_equilibrium g)
+  check_true "max" (Equilibrium.is_equilibrium Game.Max g)
 
 let test_path_not_equilibrium () =
   let g = Generators.path 5 in
-  (match Equilibrium.check_sum g with
+  (match Equilibrium.check Game.Sum g with
   | Equilibrium.Violation (mv, d) ->
     check_true "improving" (d < 0);
     check_true "applicable" (Swap.is_applicable g mv)
   | _ -> Alcotest.fail "P5 is not a sum equilibrium");
-  match Equilibrium.check_max g with
+  match Equilibrium.check Game.Max g with
   | Equilibrium.Violation (_, d) -> check_true "improving or non-critical" (d <= 0)
   | _ -> Alcotest.fail "P5 is not a max equilibrium"
 
 let test_disconnected_verdict () =
   let g = Graph.of_edges 4 [ (0, 1); (2, 3) ] in
-  check_true "sum disconnected" (Equilibrium.check_sum g = Equilibrium.Disconnected);
-  check_true "max disconnected" (Equilibrium.check_max g = Equilibrium.Disconnected)
+  check_true "sum disconnected" (Equilibrium.check Game.Sum g = Equilibrium.Disconnected);
+  check_true "max disconnected" (Equilibrium.check Game.Max g = Equilibrium.Disconnected)
 
 let test_cycle_sum_equilibrium () =
   (* C5 is a sum equilibrium (diameter 2, Lemma 6); C7 is not *)
-  check_true "C5" (Equilibrium.is_sum_equilibrium (Generators.cycle 5));
-  check_false "C7" (Equilibrium.is_sum_equilibrium (Generators.cycle 7))
+  check_true "C5" (Equilibrium.is_equilibrium Game.Sum (Generators.cycle 5));
+  check_false "C7" (Equilibrium.is_equilibrium Game.Sum (Generators.cycle 7))
 
 let test_deletion_critical () =
   (* trees: every deletion disconnects, so strictly increases *)
@@ -83,21 +83,21 @@ let test_stable_under_insertions () =
 
 let test_k_swap_exhaustive () =
   (* k = 1 swap-stability coincides with the swap half of sum equilibrium *)
-  check_true "star k=1" (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum (Generators.star 8) ~k:1);
-  check_false "path k=1" (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum (Generators.path 6) ~k:1);
+  check_true "star k=1" (Equilibrium.is_stable_under_k_swaps Game.Sum (Generators.star 8) ~k:1);
+  check_false "path k=1" (Equilibrium.is_stable_under_k_swaps Game.Sum (Generators.path 6) ~k:1);
   (* the diameter-3 witnesses are 1-swap stable but fall to 2-swaps *)
   check_true "witness k=1"
-    (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum Constructions.sum_diameter3_witness ~k:1);
+    (Equilibrium.is_stable_under_k_swaps Game.Sum Constructions.sum_diameter3_witness ~k:1);
   check_false "witness k=2"
-    (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum Constructions.sum_diameter3_witness ~k:2);
+    (Equilibrium.is_stable_under_k_swaps Game.Sum Constructions.sum_diameter3_witness ~k:2);
   (* diameter-2 equilibria survive 2-swaps *)
   check_true "polarity k=2"
-    (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum (Polarity.polarity_graph 3) ~k:2);
-  check_true "star k=3" (Equilibrium.is_stable_under_k_swaps Usage_cost.Sum (Generators.star 8) ~k:3)
+    (Equilibrium.is_stable_under_k_swaps Game.Sum (Polarity.polarity_graph 3) ~k:2);
+  check_true "star k=3" (Equilibrium.is_stable_under_k_swaps Game.Sum (Generators.star 8) ~k:3)
 
 let test_k_swap_witness_verified () =
   match
-    Equilibrium.find_k_swap_violation Usage_cost.Sum Constructions.sum_diameter3_witness ~k:2
+    Equilibrium.find_k_swap_violation Game.Sum Constructions.sum_diameter3_witness ~k:2
   with
   | None -> Alcotest.fail "expected a 2-swap violation"
   | Some (actor, pairs) ->
@@ -116,10 +116,10 @@ let test_k_swap_matches_single_swap =
       let ws = Bfs.create_workspace (Graph.n g) in
       let any_improving = ref false in
       for v = 0 to Graph.n g - 1 do
-        if Swap.first_improving_move ws Usage_cost.Sum g v <> None then
+        if Swap.first_improving_move ws Game.Sum g v <> None then
           any_improving := true
       done;
-      Equilibrium.is_stable_under_k_swaps Usage_cost.Sum g ~k:1 = not !any_improving)
+      Equilibrium.is_stable_under_k_swaps Game.Sum g ~k:1 = not !any_improving)
 
 let test_k_change_sampled () =
   let rng = Prng.create 5 in
@@ -141,7 +141,7 @@ let test_lemma2_on_max_equilibria () =
   (* Lemma 2: max equilibria have spread <= 1 — check on known equilibria *)
   List.iter
     (fun g ->
-      check_true "is max eq" (Equilibrium.is_max_equilibrium g);
+      check_true "is max eq" (Equilibrium.is_equilibrium Game.Max g);
       match Equilibrium.eccentricity_spread g with
       | Some s -> check_true "spread <= 1" (s <= 1)
       | None -> Alcotest.fail "connected")
@@ -154,10 +154,10 @@ let test_lemma3 () =
   check_true "no cut vertices" (Equilibrium.lemma3_holds (Generators.cycle 6))
 
 let test_double_star_census_boundary () =
-  check_false "double_star(1,1)" (Equilibrium.is_max_equilibrium (Generators.double_star 1 1));
-  check_false "double_star(1,4)" (Equilibrium.is_max_equilibrium (Generators.double_star 1 4));
-  check_true "double_star(2,2)" (Equilibrium.is_max_equilibrium (Generators.double_star 2 2));
-  check_true "double_star(4,2)" (Equilibrium.is_max_equilibrium (Generators.double_star 4 2))
+  check_false "double_star(1,1)" (Equilibrium.is_equilibrium Game.Max (Generators.double_star 1 1));
+  check_false "double_star(1,4)" (Equilibrium.is_equilibrium Game.Max (Generators.double_star 1 4));
+  check_true "double_star(2,2)" (Equilibrium.is_equilibrium Game.Max (Generators.double_star 2 2));
+  check_true "double_star(4,2)" (Equilibrium.is_equilibrium Game.Max (Generators.double_star 4 2))
 
 let test_sum_eq_agrees_with_bruteforce =
   (* independent checker that rebuilds the graph per candidate move *)
@@ -191,14 +191,14 @@ let test_sum_eq_agrees_with_bruteforce =
          edges
   in
   qcheck ~count:40 "library checker = brute force" (gen_connected ~min_n:2 ~max_n:8)
-    (fun g -> Equilibrium.is_sum_equilibrium g = brute_force_sum_eq g)
+    (fun g -> Equilibrium.is_equilibrium Game.Sum g = brute_force_sum_eq g)
 
 let test_converged_dynamics_are_equilibria =
   qcheck ~count:20 "sum dynamics output passes checker" (gen_connected ~min_n:4 ~max_n:14)
     (fun g ->
-      let r = Dynamics.converge_sum g in
+      let r = Dynamics.run (Dynamics.default_config Game.Sum) g in
       r.Dynamics.outcome <> Dynamics.Converged
-      || Equilibrium.is_sum_equilibrium r.Dynamics.final)
+      || Equilibrium.is_equilibrium Game.Sum r.Dynamics.final)
 
 let suite =
   [

@@ -62,31 +62,26 @@ let test_roundtrip =
   qcheck ~count:500 "of_string (to_string g) = Ok g" gen_game (fun g ->
       Game.of_string (Game.to_string g) = Ok g)
 
-let test_bridge () =
-  check_true "sum basic" (Game.basic Game.Sum = Some Usage_cost.Sum);
-  check_true "max basic" (Game.basic Game.Max = Some Usage_cost.Max);
-  check_true "alpha not basic" (Game.basic (Game.Alpha 1.0) = None);
-  check_true "is_basic" (Game.is_basic Game.Max);
+let test_is_basic () =
+  check_true "sum is_basic" (Game.is_basic Game.Sum);
+  check_true "max is_basic" (Game.is_basic Game.Max);
   check_false "alpha is_basic" (Game.is_basic (Game.Alpha 0.5));
-  Alcotest.check game "of_version sum" Game.Sum (Game.of_version Usage_cost.Sum);
-  Alcotest.check game "of_version max" Game.Max (Game.of_version Usage_cost.Max);
   check_false "equal across variants" (Game.equal Game.Sum (Game.Alpha 0.0))
 
 let test_social_cost () =
   let star = Generators.star 5 in
-  (* basic games: the float social cost is the integer kernel's *)
-  check_float "sum star"
-    (float_of_int (Usage_cost.social_cost Usage_cost.Sum star))
-    (Game.social_cost Game.Sum star);
-  check_float "max star"
-    (float_of_int (Usage_cost.social_cost Usage_cost.Max star))
-    (Game.social_cost Game.Max star);
+  (* the usage kernel takes every game; alpha uses the distance sum *)
+  check_int "sum star" 32 (Usage_cost.social_cost Game.Sum star);
+  check_int "max star" 2 (Usage_cost.social_cost Game.Max star);
+  check_int "alpha star = sum star" 32 (Usage_cost.social_cost (Game.Alpha 3.0) star);
   (* alpha: edge budget plus the distance sum *)
-  check_float "alpha star"
-    (Alpha_game.social_cost (Alpha_game.create ~alpha:3.0 star))
-    (Game.social_cost (Game.Alpha 3.0) star);
+  check_float "alpha social cost"
+    ((3.0 *. float_of_int (Graph.m star)) +. 32.0)
+    (Alpha_game.social_cost (Alpha_game.create ~alpha:3.0 star));
   check_true "disconnected is infinite"
-    (Game.social_cost (Game.Alpha 1.0) (Graph.create 3) = infinity)
+    (Usage_cost.is_infinite (Usage_cost.social_cost (Game.Alpha 1.0) (Graph.create 3)));
+  check_true "disconnected alpha is infinity"
+    (Alpha_game.social_cost (Alpha_game.create ~alpha:1.0 (Graph.create 3)) = infinity)
 
 (* --- differential: the alpha game restricted to swaps is the sum game --- *)
 
@@ -122,7 +117,7 @@ let differential_in n =
       let lo = Alpha_game.create ~alpha:2.5 g in
       let hi = Alpha_game.create ~alpha:2.5 ~owner:(fun _ v -> v) g in
       let alpha_stable = swap_restricted_stable lo && swap_restricted_stable hi in
-      if alpha_stable <> Equilibrium.is_sum_equilibrium g then
+      if alpha_stable <> Equilibrium.is_equilibrium Game.Sum g then
         Alcotest.failf "swap-restricted alpha disagrees with sum on %s"
           (Graph6.encode g))
 
@@ -153,7 +148,7 @@ let suite =
     case "of_string grammar" test_of_string;
     case "to_string canonical spellings" test_to_string;
     test_roundtrip;
-    case "bridge to Usage_cost.version" test_bridge;
+    case "is_basic" test_is_basic;
     case "social cost across games" test_social_cost;
     case "swap-restricted alpha = sum game (n <= 5)" test_differential_small;
     slow_case "swap-restricted alpha = sum game (n = 6)" test_differential_n6;

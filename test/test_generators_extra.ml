@@ -74,11 +74,11 @@ let test_barbell () =
 let test_family_equilibrium_status () =
   (* wheels and friendship graphs are diameter-2 sum equilibria: every
      vertex has local diameter <= 2, so Lemma 6 freezes all swaps *)
-  check_true "wheel 6 sum eq" (Equilibrium.is_sum_equilibrium (Generators.wheel 6));
-  check_false "wheel 6 not max eq" (Equilibrium.is_max_equilibrium (Generators.wheel 6));
-  check_true "friendship 2 sum eq" (Equilibrium.is_sum_equilibrium (Generators.friendship 2));
-  check_true "friendship 3 sum eq" (Equilibrium.is_sum_equilibrium (Generators.friendship 3));
-  check_true "cocktail party sum eq" (Equilibrium.is_sum_equilibrium (Generators.cocktail_party 3))
+  check_true "wheel 6 sum eq" (Equilibrium.is_equilibrium Game.Sum (Generators.wheel 6));
+  check_false "wheel 6 not max eq" (Equilibrium.is_equilibrium Game.Max (Generators.wheel 6));
+  check_true "friendship 2 sum eq" (Equilibrium.is_equilibrium Game.Sum (Generators.friendship 2));
+  check_true "friendship 3 sum eq" (Equilibrium.is_equilibrium Game.Sum (Generators.friendship 3));
+  check_true "cocktail party sum eq" (Equilibrium.is_equilibrium Game.Sum (Generators.cocktail_party 3))
 
 let suite =
   [

@@ -20,14 +20,14 @@ let test_equilibrium_label_invariant =
     QCheck2.Gen.(pair (gen_connected ~min_n:3 ~max_n:10) (int_range 0 10_000))
     (fun (g, seed) ->
       with_random_perm seed g (fun h ->
-          Equilibrium.is_sum_equilibrium g = Equilibrium.is_sum_equilibrium h))
+          Equilibrium.is_equilibrium Game.Sum g = Equilibrium.is_equilibrium Game.Sum h))
 
 let test_max_equilibrium_label_invariant =
   qcheck ~count:40 "max equilibrium is label-invariant"
     QCheck2.Gen.(pair (gen_connected ~min_n:3 ~max_n:9) (int_range 0 10_000))
     (fun (g, seed) ->
       with_random_perm seed g (fun h ->
-          Equilibrium.is_max_equilibrium g = Equilibrium.is_max_equilibrium h))
+          Equilibrium.is_equilibrium Game.Max g = Equilibrium.is_equilibrium Game.Max h))
 
 let test_diameter_label_invariant =
   qcheck ~count:40 "diameter is label-invariant"
@@ -67,8 +67,8 @@ let test_social_cost_label_invariant =
     QCheck2.Gen.(pair (gen_connected ~min_n:2 ~max_n:12) (int_range 0 10_000))
     (fun (g, seed) ->
       with_random_perm seed g (fun h ->
-          Usage_cost.social_cost Usage_cost.Sum g
-          = Usage_cost.social_cost Usage_cost.Sum h))
+          Usage_cost.social_cost Game.Sum g
+          = Usage_cost.social_cost Game.Sum h))
 
 let test_uniformity_label_invariant =
   qcheck ~count:30 "distance-uniformity profile is label-invariant"

@@ -37,7 +37,7 @@ let test_exact_optimum_matches_lower_bound () =
     match Poa.exact_optimum_sum 5 m with
     | Some opt ->
       check_int "bound tight at n=5"
-        (Usage_cost.social_cost_lower_bound Usage_cost.Sum ~n:5 ~m)
+        (Usage_cost.social_cost_lower_bound Game.Sum ~n:5 ~m)
         opt
     | None -> Alcotest.fail "connected graphs exist"
   done

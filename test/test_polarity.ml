@@ -75,8 +75,8 @@ let test_polarity_common_neighbor_property () =
 
 let test_polarity_is_sum_equilibrium () =
   (* the Albers-et-al-style projective-plane equilibria, measured *)
-  check_true "ER_3 sum equilibrium" (Equilibrium.is_sum_equilibrium (Polarity.polarity_graph 3));
-  check_true "ER_2 sum equilibrium" (Equilibrium.is_sum_equilibrium (Polarity.polarity_graph 2))
+  check_true "ER_3 sum equilibrium" (Equilibrium.is_equilibrium Game.Sum (Polarity.polarity_graph 3));
+  check_true "ER_2 sum equilibrium" (Equilibrium.is_equilibrium Game.Sum (Polarity.polarity_graph 2))
 
 let suite =
   [

@@ -173,10 +173,10 @@ let test_equilibrium_determinism () =
         (fun (name, g) ->
           check_true
             (name ^ ": parallel sum verdict equals sequential")
-            (Equilibrium.check_sum g = Equilibrium.check_sum ~pool g);
+            (Equilibrium.check Game.Sum g = Equilibrium.check ~pool Game.Sum g);
           check_true
             (name ^ ": parallel max verdict equals sequential")
-            (Equilibrium.check_max g = Equilibrium.check_max ~pool g))
+            (Equilibrium.check Game.Max g = Equilibrium.check ~pool Game.Max g))
         (kernel_graphs ()))
 
 let test_eccentricities_determinism () =

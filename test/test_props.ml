@@ -134,17 +134,17 @@ let test_equilibrium_pool_differential () =
           for i = 0 to iters - 1 do
             let rng = Prng.create (0xEC0 + i) in
             let g = random_instance rng in
-            let check name f =
-              let a = f ?pool:(Some seq) g in
-              let b = f ?pool:(Some par) g in
+            let check name game =
+              let a = Equilibrium.check ~pool:seq game g in
+              let b = Equilibrium.check ~pool:par game g in
               if a <> b then
                 fail_at name i
                   (Printf.sprintf "jobs=1 %s but jobs=4 %s in %s"
                      (verdict_to_string a) (verdict_to_string b)
                      (Graph.to_string g))
             in
-            check "check_sum pool differential" Equilibrium.check_sum;
-            check "check_max pool differential" Equilibrium.check_max
+            check "sum pool differential" Game.Sum;
+            check "max pool differential" Game.Max
           done))
 
 let suite =

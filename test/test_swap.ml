@@ -45,7 +45,7 @@ let test_delta_improving () =
      (1,2,3)=6 -> 0~2: (2,1,2)=5 *)
   let g = p4 () in
   let w = Bfs.create_workspace 4 in
-  let d = Swap.delta w Usage_cost.Sum g (Swap.Swap { actor = 0; drop = 1; add = 2 }) in
+  let d = Swap.delta w Game.Sum g (Swap.Swap { actor = 0; drop = 1; add = 2 }) in
   check_int "delta" (-1) d;
   check_true "graph unchanged" (Graph.equal g (p4 ()))
 
@@ -54,13 +54,13 @@ let test_delta_max () =
   let w = Bfs.create_workspace 4 in
   (* 0 re-hangs to center 2: ecc 3 -> 2 *)
   check_int "max delta" (-1)
-    (Swap.delta w Usage_cost.Max g (Swap.Swap { actor = 0; drop = 1; add = 2 }))
+    (Swap.delta w Game.Max g (Swap.Swap { actor = 0; drop = 1; add = 2 }))
 
 let test_delta_disconnecting () =
   let g = p4 () in
   let w = Bfs.create_workspace 4 in
   (* deleting the bridge disconnects: infinite after-cost *)
-  let d = Swap.delta w Usage_cost.Sum g (Swap.Delete { actor = 1; drop = 2 }) in
+  let d = Swap.delta w Game.Sum g (Swap.Delete { actor = 1; drop = 2 }) in
   check_true "hugely positive" (d > 1_000_000)
 
 let test_iter_moves_complete_enumeration () =
@@ -88,7 +88,7 @@ let test_iter_moves_mutation_safe () =
   let w = Bfs.create_workspace 5 in
   let seen = Hashtbl.create 16 in
   Swap.iter_moves g 0 (fun mv ->
-      ignore (Swap.delta w Usage_cost.Sum g mv);
+      ignore (Swap.delta w Game.Sum g mv);
       (match mv with
       | Swap.Swap { drop; add; _ } -> Hashtbl.replace seen (drop, add) ()
       | Swap.Delete _ -> ());
@@ -99,7 +99,7 @@ let test_iter_moves_mutation_safe () =
 let test_best_move () =
   let g = Generators.path 5 in
   let w = Bfs.create_workspace 5 in
-  (match Swap.best_move w Usage_cost.Sum g 0 with
+  (match Swap.best_move w Game.Sum g 0 with
   | Some (Swap.Swap { actor = 0; drop = 1; add }, d ) ->
     (* best re-hang for the endpoint is the center *)
     check_int "best add is center" 2 add;
@@ -108,12 +108,12 @@ let test_best_move () =
   (* center of a star has no moves at all *)
   let s = Generators.star 5 in
   check_true "no improving move for star center"
-    (Swap.best_move w Usage_cost.Sum s 0 = None)
+    (Swap.best_move w Game.Sum s 0 = None)
 
 let test_first_improving () =
   let g = Generators.path 5 in
   let w = Bfs.create_workspace 5 in
-  match Swap.first_improving_move w Usage_cost.Sum g 0 with
+  match Swap.first_improving_move w Game.Sum g 0 with
   | Some (mv, d) ->
     check_true "applicable" (Swap.is_applicable g mv);
     check_true "improving" (d < 0)
@@ -125,7 +125,7 @@ let test_random_improving_uniformish () =
   let rng = Prng.create 77 in
   let seen = Hashtbl.create 8 in
   for _ = 1 to 200 do
-    match Swap.random_improving_move rng w Usage_cost.Sum g 0 with
+    match Swap.random_improving_move rng w Game.Sum g 0 with
     | Some (Swap.Swap { add; _ }, _) -> Hashtbl.replace seen add ()
     | Some (Swap.Delete _, _) | None -> Alcotest.fail "expected a swap"
   done;
@@ -139,10 +139,10 @@ let test_delta_never_lies =
       let w = Bfs.create_workspace (Graph.n g) in
       let ok = ref true in
       Swap.iter_moves g 0 (fun mv ->
-          let d = Swap.delta w Usage_cost.Sum g mv in
-          let before = Usage_cost.vertex_cost w Usage_cost.Sum g 0 in
+          let d = Swap.delta w Game.Sum g mv in
+          let before = Usage_cost.vertex_cost w Game.Sum g 0 in
           Swap.apply g mv;
-          let after = Usage_cost.vertex_cost w Usage_cost.Sum g 0 in
+          let after = Usage_cost.vertex_cost w Game.Sum g 0 in
           Swap.undo g mv;
           if after - before <> d then ok := false);
       !ok)

@@ -56,7 +56,7 @@ let test_corollary11 () =
 let test_corollary11_budget_on_equilibria =
   qcheck ~count:10 "equilibria respect the 5 n lg n budget"
     (gen_connected ~min_n:6 ~max_n:14) (fun g0 ->
-      let r = Dynamics.converge_sum g0 in
+      let r = Dynamics.run (Dynamics.default_config Game.Sum) g0 in
       r.Dynamics.outcome <> Dynamics.Converged
       ||
       let g = r.Dynamics.final in

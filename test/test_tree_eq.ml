@@ -51,11 +51,11 @@ let test_non_tree_rejected () =
 
 let test_sum_eq_tree_matches_generic =
   qcheck ~count:80 "tree fast path = generic checker" (gen_tree ~min_n:1 ~max_n:12)
-    (fun g -> Tree_eq.sum_eq_tree g = Equilibrium.is_sum_equilibrium g)
+    (fun g -> Tree_eq.sum_eq_tree g = Equilibrium.is_equilibrium Game.Sum g)
 
 let test_max_eq_tree_matches_generic =
   qcheck ~count:80 "max tree fast path = generic checker" (gen_tree ~min_n:1 ~max_n:12)
-    (fun g -> Tree_eq.max_eq_tree g = Equilibrium.is_max_equilibrium g)
+    (fun g -> Tree_eq.max_eq_tree g = Equilibrium.is_equilibrium Game.Max g)
 
 let test_exhaustive_n7_sum () =
   (* Theorem 1 verbatim at n=7: equilibrium iff star *)

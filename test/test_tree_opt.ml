@@ -43,13 +43,13 @@ let test_non_tree_rejected () =
       ignore (Tree_opt.precompute (Generators.cycle 5)))
 
 let test_star_is_equilibrium () =
-  check_true "star" (Tree_opt.is_sum_equilibrium (Generators.star 9));
-  check_false "path" (Tree_opt.is_sum_equilibrium (Generators.path 9))
+  check_true "star" (Tree_opt.is_equilibrium Game.Sum (Generators.star 9));
+  check_false "path" (Tree_opt.is_equilibrium Game.Sum (Generators.path 9))
 
 let test_converge_to_star () =
   let rng = Prng.create 3 in
   let g = Random_graphs.tree rng 60 in
-  let final, moves = Tree_opt.converge g in
+  let final, moves = Tree_opt.converge Game.Sum g in
   check_true "is star" (Tree_eq.is_star final);
   check_true "made progress" (moves > 0 || Tree_eq.is_star g);
   check_true "input untouched" (Components.is_tree g && Graph.m g = 59)
@@ -65,7 +65,7 @@ let test_delta_matches_generic =
             match mv with
             | Swap.Swap { actor; drop; add } ->
               let fast = Tree_opt.swap_delta p ~actor ~drop ~add in
-              let slow = Swap.delta ws Usage_cost.Sum g mv in
+              let slow = Swap.delta ws Game.Sum g mv in
               (* both are "infinite" on disconnecting swaps; compare the
                  finite cases exactly and the infinite cases by class *)
               let inf x = x >= Usage_cost.infinite / 2 in
@@ -82,14 +82,14 @@ let test_best_swap_matches_generic =
       let ws = Bfs.create_workspace (Graph.n g) in
       let ok = ref true in
       for v = 0 to Graph.n g - 1 do
-        if Tree_opt.best_swap p v <> Swap.best_move ws Usage_cost.Sum g v then
+        if Tree_opt.best_swap p v <> Swap.best_move ws Game.Sum g v then
           ok := false
       done;
       !ok)
 
 let test_equilibrium_matches_generic =
-  qcheck ~count:60 "is_sum_equilibrium agrees on trees" (gen_tree ~min_n:1 ~max_n:14)
-    (fun g -> Tree_opt.is_sum_equilibrium g = Equilibrium.is_sum_equilibrium g)
+  qcheck ~count:60 "sum is_equilibrium agrees on trees" (gen_tree ~min_n:1 ~max_n:14)
+    (fun g -> Tree_opt.is_equilibrium Game.Sum g = Equilibrium.is_equilibrium Game.Sum g)
 
 (* --- max version ------------------------------------------------------ *)
 
@@ -105,19 +105,19 @@ let test_max_delta_path () =
     (Tree_opt.max_swap_delta p ~actor:2 ~drop:3 ~add:0 >= Usage_cost.infinite / 2)
 
 let test_max_equilibrium_tree_shapes () =
-  check_true "star" (Tree_opt.is_max_equilibrium_tree (Generators.star 8));
-  check_true "double star (2,2)" (Tree_opt.is_max_equilibrium_tree (Generators.double_star 2 2));
-  check_false "double star (1,2)" (Tree_opt.is_max_equilibrium_tree (Generators.double_star 1 2));
-  check_false "path" (Tree_opt.is_max_equilibrium_tree (Generators.path 6))
+  check_true "star" (Tree_opt.is_equilibrium Game.Max (Generators.star 8));
+  check_true "double star (2,2)" (Tree_opt.is_equilibrium Game.Max (Generators.double_star 2 2));
+  check_false "double star (1,2)" (Tree_opt.is_equilibrium Game.Max (Generators.double_star 1 2));
+  check_false "path" (Tree_opt.is_equilibrium Game.Max (Generators.path 6))
 
 let test_converge_max_diameter3 () =
   let rng = Prng.create 5 in
   let g = Random_graphs.tree rng 50 in
-  let final, _ = Tree_opt.converge_max g in
+  let final, _ = Tree_opt.converge Game.Max g in
   check_true "still a tree" (Components.is_tree final);
   check_true "diameter <= 3 (Theorem 4)"
     (Option.get (Metrics.diameter final) <= 3);
-  check_true "max equilibrium" (Tree_opt.is_max_equilibrium_tree final)
+  check_true "max equilibrium" (Tree_opt.is_equilibrium Game.Max final)
 
 let test_max_delta_matches_generic =
   qcheck ~count:50 "max delta = Swap.delta on all tree swaps" (gen_tree ~min_n:3 ~max_n:13)
@@ -130,7 +130,7 @@ let test_max_delta_matches_generic =
             match mv with
             | Swap.Swap { actor; drop; add } ->
               let fast = Tree_opt.max_swap_delta p ~actor ~drop ~add in
-              let slow = Swap.delta ws Usage_cost.Max g mv in
+              let slow = Swap.delta ws Game.Max g mv in
               let inf x = x >= Usage_cost.infinite / 2 in
               if inf fast <> inf slow then ok := false
               else if (not (inf fast)) && fast <> slow then ok := false
@@ -145,7 +145,7 @@ let test_max_best_matches_generic =
       let ws = Bfs.create_workspace (Graph.n g) in
       let ok = ref true in
       for v = 0 to Graph.n g - 1 do
-        if Tree_opt.best_max_swap p v <> Swap.best_move ws Usage_cost.Max g v then
+        if Tree_opt.best_max_swap p v <> Swap.best_move ws Game.Max g v then
           ok := false
       done;
       !ok)
@@ -153,14 +153,14 @@ let test_max_best_matches_generic =
 let test_max_eq_matches_generic =
   qcheck ~count:50 "is_max_equilibrium_tree agrees with generic"
     (gen_tree ~min_n:1 ~max_n:13) (fun g ->
-      Tree_opt.is_max_equilibrium_tree g = Equilibrium.is_max_equilibrium g)
+      Tree_opt.is_equilibrium Game.Max g = Equilibrium.is_equilibrium Game.Max g)
 
 let suite =
   [
     case "sum cost" test_sum_cost_matches;
     case "max delta on path" test_max_delta_path;
     case "max equilibrium shapes" test_max_equilibrium_tree_shapes;
-    case "converge_max reaches diameter <= 3" test_converge_max_diameter3;
+    case "converge max reaches diameter <= 3" test_converge_max_diameter3;
     test_max_delta_matches_generic;
     test_max_best_matches_generic;
     test_max_eq_matches_generic;
