@@ -1,8 +1,9 @@
 (* bncg — command-line interface to the basic network creation game library.
 
-   Subcommands: generate, info, check, dynamics, census, experiment. Graphs
-   cross the CLI boundary as graph6 strings so results can be piped between
-   invocations and into external tools. *)
+   Subcommands: generate, info, check, dynamics, census, experiment, hunt,
+   audit, serve, call, atlas. Graphs cross the CLI boundary as graph6
+   strings so results can be piped between invocations and into external
+   tools. *)
 
 open Cmdliner
 
@@ -463,40 +464,29 @@ let dynamics_cmd =
 
 (* --- census --------------------------------------------------------------- *)
 
-(* shared by the in-process and the distributed paths, so the
-   distributed run's stdout is byte-identical to the sequential one
-   (CI diffs them; dispatch accounting goes to stderr) *)
-let print_tree_census (c : Census.tree_census) =
-  Printf.printf "labeled trees: %d\n" c.Census.total;
-  Printf.printf "equilibria: %d (stars %d, double stars %d)\n" c.Census.equilibria
-    c.Census.stars c.Census.double_stars;
-  Printf.printf "max equilibrium diameter: %d\n" c.Census.max_eq_diameter
+let print_result = function
+  | Census.Tree_result c ->
+    Printf.printf "labeled trees: %d\n" c.Census.total;
+    Printf.printf "equilibria: %d (stars %d, double stars %d)\n"
+      c.Census.equilibria c.Census.stars c.Census.double_stars;
+    Printf.printf "max equilibrium diameter: %d\n" c.Census.max_eq_diameter
+  | Census.Graph_result c | Census.Orderly_result c ->
+    Printf.printf "connected graphs: %d\n" c.Census.connected;
+    Printf.printf "equilibria: %d labeled, %d up to isomorphism\n"
+      c.Census.equilibria_labeled
+      (List.length c.Census.equilibria_iso);
+    Printf.printf "diameter histogram: %s\n"
+      (String.concat ", "
+         (List.map
+            (fun (d, k) -> Printf.sprintf "%d -> %d" d k)
+            c.Census.diameter_histogram));
+    List.iter
+      (fun g -> Printf.printf "  representative: %s\n" (Graph6.encode g))
+      c.Census.equilibria_iso
 
-let print_graph_census (c : Census.graph_census) =
-  Printf.printf "connected graphs: %d\n" c.Census.connected;
-  Printf.printf "equilibria: %d labeled, %d up to isomorphism\n"
-    c.Census.equilibria_labeled
-    (List.length c.Census.equilibria_iso);
-  Printf.printf "diameter histogram: %s\n"
-    (String.concat ", "
-       (List.map
-          (fun (d, k) -> Printf.sprintf "%d -> %d" d k)
-          c.Census.diameter_histogram));
-  List.iter
-    (fun g -> Printf.printf "  representative: %s\n" (Graph6.encode g))
-    c.Census.equilibria_iso
-
-let census game n trees strategy jobs workers parts retries timeout journal
-    atlas_dir stats stats_json =
+let census game n trees jobs workers parts retries timeout journal atlas_dir
+    stats stats_json =
   with_stats stats stats_json @@ fun () ->
-  if trees && strategy = `Orderly then
-    invalid_arg "--strategy orderly applies to the graph census, not --trees";
-  if strategy = `Orderly && (not trees) && not (Game.is_basic game) then
-    invalid_arg
-      (Printf.sprintf
-         "--strategy orderly requires an isomorphism-invariant game (sum or \
-          max); %s verdicts depend on the labeling through edge ownership"
-         (Game.to_string game));
   let atlas =
     match atlas_dir with
     | None -> None
@@ -517,27 +507,15 @@ let census game n trees strategy jobs workers parts retries timeout journal
       atlas
   in
   Fun.protect ~finally:finish @@ fun () ->
+  let kind = if trees then Census.Trees else Census.graph_kind game in
+  let shard = Census.full_shard kind game n in
+  (* one printer for the in-process and the distributed paths, so their
+     stdout is byte-identical (dispatch accounting goes to stderr) *)
   if workers = [] then
     with_jobs jobs @@ fun pool ->
-    if trees then begin
-      print_tree_census (Census.tree_census ~pool game n);
-      `Ok ()
-    end
-    else begin
-      (* both strategies print through the same function: the orderly
-         census record is byte-identical to the rank-range one wherever
-         both can run (CI diffs them) *)
-      print_graph_census
-        (match strategy with
-        | `Orderly -> Census.orderly_census ?atlas ~pool game n
-        | `Rank -> Census.graph_census ?atlas ~pool game n);
-      `Ok ()
-    end
+    print_result (Census.run_shard ?atlas ~pool shard);
+    `Ok ()
   else begin
-    let kind =
-      if trees then Census.Trees
-      else match strategy with `Orderly -> Census.Orderly | `Rank -> Census.Graphs
-    in
     let workers =
       List.mapi
         (fun i -> function
@@ -556,12 +534,10 @@ let census game n trees strategy jobs workers parts retries timeout journal
         atlas;
       }
     in
-    match Dispatch.run cfg (Census.full_shard kind game n) with
+    match Dispatch.run cfg shard with
     | Error msg -> `Error (false, msg)
     | Ok (result, st) ->
-      (match result with
-      | Census.Tree_result c -> print_tree_census c
-      | Census.Graph_result c | Census.Orderly_result c -> print_graph_census c);
+      print_result result;
       Printf.eprintf
         "dispatch: %d shards, %d journal hits, %d dispatched, %d retried, %d recovered\n"
         st.Dispatch.shards st.Dispatch.journal_hits st.Dispatch.dispatched
@@ -592,21 +568,18 @@ let worker_conv =
 
 let census_cmd =
   let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Vertex count (graphs <= 8, trees <= 10).") in
-  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
-  let strategy =
+  let n =
     let doc =
-      "How the graph census enumerates isomorphism classes: $(b,rank) \
-       walks the rank-range space of labeled graphs and dedups by \
-       canonical form; $(b,orderly) generates one representative per \
-       class by canonical construction path (no dedup, reaches higher \
-       $(b,-n)). Output is byte-identical between the two."
+      Printf.sprintf
+        "Vertex count: at most %d with $(b,--trees); for the graph census \
+         at most %d for sum and max (orderly enumeration, one graph per \
+         isomorphism class) and %d for alpha:$(i,A) (every labeled graph)."
+        Enumerate.max_tree_vertices Orderly.max_vertices
+        Enumerate.max_graph_vertices
     in
-    Arg.(
-      value
-      & opt (enum [ ("rank", `Rank); ("orderly", `Orderly) ]) `Rank
-      & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
+    Arg.(value & opt int 5 & info [ "n" ] ~doc)
   in
+  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
   let workers =
     let doc =
       "Distribute the census across this worker fleet instead of running \
@@ -655,18 +628,18 @@ let census_cmd =
     in
     Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"DIR" ~doc)
   in
-  let run game n trees strategy jobs workers parts retries timeout journal
-      atlas stats stats_json =
+  let run game n trees jobs workers parts retries timeout journal atlas stats
+      stats_json =
     try
-      census game n trees strategy jobs workers parts retries timeout journal
-        atlas stats stats_json
+      census game n trees jobs workers parts retries timeout journal atlas
+        stats stats_json
     with Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "census" ~doc:"Exhaustively classify equilibria on small vertex counts")
     Term.(
       ret
-        (const run $ game $ n $ trees $ strategy $ jobs_arg $ workers $ parts
+        (const run $ game $ n $ trees $ jobs_arg $ workers $ parts
         $ retries $ timeout $ journal $ atlas $ stats_arg $ stats_json_arg))
 
 (* --- experiment -------------------------------------------------------------- *)
@@ -703,7 +676,11 @@ let experiment id list_only seed =
 
 let experiment_cmd =
   let id =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id (E1..E14), 'all', or 'everything'.")
+    let doc =
+      Printf.sprintf "Experiment id (%s), 'all', or 'everything'."
+        (String.concat ", " (List.map (fun e -> e.Experiments.id) Experiments.all))
+    in
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
   in
   let list_only = Arg.(value & flag & info [ "list" ] ~doc:"List available experiments.") in
   let seed =
@@ -952,7 +929,7 @@ let call_cmd =
     Arg.(value & opt (some string) None & info [ "graph6" ] ~docv:"GRAPH6" ~doc:"Graph for info/check.")
   in
   let kind =
-    Arg.(value & opt (some string) None & info [ "kind" ] ~doc:"Census kind: trees or graphs.")
+    Arg.(value & opt (some string) None & info [ "kind" ] ~doc:"Census kind: trees, graphs or orderly.")
   in
   let n = Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Census vertex count.") in
   let lo = Arg.(value & opt (some int) None & info [ "lo" ] ~doc:"Census shard start rank.") in

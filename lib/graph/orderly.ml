@@ -141,16 +141,19 @@ let iter ?(lo = 0) ?hi n f =
   let total = space n in
   let hi = Option.value ~default:total hi in
   if lo < 0 || hi > total || lo > hi then invalid_arg "Orderly.iter";
-  let k1 = Graph.create 1 in
-  let k1_cert = Canon.cert k1 in
-  let b = base_level n in
-  let idx = ref 0 in
-  extend k1 k1_cert b (fun g cert ->
-      let i = !idx in
-      incr idx;
-      if i >= lo && i < hi then
-        if b = n then f g cert else extend g cert n f);
-  assert (!idx = total)
+  (* an empty range generates nothing, not even the base level *)
+  if lo < hi then begin
+    let k1 = Graph.create 1 in
+    let k1_cert = Canon.cert k1 in
+    let b = base_level n in
+    let idx = ref 0 in
+    extend k1 k1_cert b (fun g cert ->
+        let i = !idx in
+        incr idx;
+        if i >= lo && i < hi then
+          if b = n then f g cert else extend g cert n f);
+    assert (!idx = total)
+  end
 
 let count ?lo ?hi n =
   let c = ref 0 in

@@ -4,7 +4,14 @@
     have diameter <= 3" observation are universally quantified statements
     over finite ranges; this module checks them against the {e entire}
     universe of labeled trees / connected graphs in the tractable range,
-    producing the E1/E2/E4 tables. *)
+    producing the E1/E2/E4 tables.
+
+    Every census is {!run_shard} on a {!shard} — a contiguous piece of a
+    rank space — and pieces combine with {!merge_result}; the sequential,
+    pooled ([?pool]), served ([census-shard]) and distributed
+    ({!Dispatch} in [lib/serve]) runs differ only in who runs which
+    piece. {!tree_census}, {!graph_census} and {!orderly_census} are
+    typed projections of the full shard. *)
 
 type tree_census = {
   n : int;
@@ -18,84 +25,34 @@ type tree_census = {
           strictly improve *)
 }
 
-val tree_census : ?pool:Pool.t -> Game.t -> int -> tree_census
-(** Exhaustive over all labeled trees on [n] vertices
-    (n <= {!Enumerate.max_tree_vertices}). For the sum version every
-    non-star receives the Theorem 1 witness; for max, trees of diameter
-    >= 4 receive the Lemma 2 witness and small-diameter trees run the
-    generic checker. With [?pool] the Prüfer rank space is sharded
-    across domains and the per-shard tallies merged; the resulting
-    census record equals the sequential one. *)
-
 type graph_census = {
   n : int;
   connected : int;  (** connected labeled graphs examined *)
   equilibria_labeled : int;
-  equilibria_iso : Graph.t list;  (** one representative per iso class *)
+  equilibria_iso : Graph.t list;
+      (** one representative per iso class: the minimum-mask equilibrium
+          labeling, in ascending mask order *)
   diameter_histogram : (int * int) list;
       (** equilibrium diameter -> iso-class count *)
   max_diameter : int;
 }
 
-val merge_tree_census : tree_census -> tree_census -> tree_census
-(** Counts add, [max_eq_diameter] maxes. Requires equal [n]. *)
+(** {1 Shards}
 
-val graph_census :
-  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
-(** Exhaustive over all connected labeled graphs on [n] vertices
-    (n <= {!Enumerate.max_graph_vertices}; n = 7 takes minutes
-    sequentially). With [?pool] the edge-subset mask space is sharded
-    across domains; counts, representatives (first of each class in mask
-    order) and histogram equal the sequential results. With [?atlas] the
-    per-labeled-graph equilibrium verdict (key
-    [eq:<game>:<graph6>], value ["1"]/["0"]) is consulted before the
-    scan and populated after a miss; verdicts are identical either way,
-    so the census output is byte-for-byte the same with the atlas on or
-    off. *)
+    Ranks are Prüfer ranks for {!Trees}, edge-subset masks for {!Graphs}
+    and generation-tree root indices for {!Orderly}; disjoint adjacent
+    shards merged in ascending rank order reproduce the full census
+    exactly (for {!Orderly}, any adjacent-merge order does).
 
-val merge_graph_census : graph_census -> graph_census -> graph_census
-(** Counts add; representatives are re-deduplicated by canonical form
-    with the lower-mask shard winning, so folding disjoint adjacent
-    shards in order reproduces the full census. Requires equal [n]. *)
-
-val orderly_census :
-  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
-(** The graph census via orderly (canonical-construction-path)
-    enumeration: one {!Orderly.iter} visit per isomorphism class, labeled
-    counts recovered by orbit-stabilizer ([n!/|Aut|] copies per class)
-    and equilibrium representatives reported as minimum-mask labelings in
-    ascending mask order — byte-identical to {!graph_census} wherever
-    both can run, but reaching [n <=] {!Orderly.max_vertices} (11)
-    because the walk is over classes, not the [2^(n(n-1)/2)] mask space.
-    Only the basic (isomorphism-invariant) games are supported: the
-    α-game's verdict depends on the labeling through edge ownership, so
-    orbit-stabilizer counting would be unsound — [Alpha _] raises (or,
-    through {!validate_shard}, returns an [Error]).
-    [?pool] shards the orderly root range across domains; [?atlas]
-    memoizes per-generated-representative verdicts (keys are the orderly
-    copies' graph6, so orderly and rank-range runs populate disjoint
-    entries). *)
-
-val merge_orderly_census : graph_census -> graph_census -> graph_census
-(** Counts add; the disjoint sorted representative lists merge by mask
-    key, so any adjacent-merge order reproduces the sequential record.
-    Requires equal [n]. *)
-
-val orderly_census_in :
-  ?atlas:Atlas.t -> Game.t -> int -> lo:int -> hi:int -> graph_census
-(** One shard of the orderly census: only the generation subtrees of
-    roots [lo .. hi - 1] at {!Orderly.base_level} (see {!Orderly.iter}).
-    @raise Invalid_argument unless [0 <= lo <= hi <= Orderly.space n]. *)
-
-(** {1 Unified shard API}
-
-    One descriptor for "a contiguous piece of a census" — the unit of
-    work shared by the serving layer's [census-shard] method, the
-    distributed dispatcher ({!Dispatch} in [lib/serve]) and the journal
-    format. Ranks are Prüfer ranks for {!Trees}, edge-subset masks for
-    {!Graphs} and generation-tree root indices for {!Orderly}; disjoint
-    adjacent shards merged in ascending rank order reproduce the full
-    census exactly (for {!Orderly}, any adjacent-merge order does). *)
+    {!Graphs} walks every labeled graph and deduplicates equilibria by
+    canonical form; {!Orderly} visits one canonical graph per isomorphism
+    class (see {!Orderly.iter}), recovers labeled counts by
+    orbit-stabilizer ([n!/|Aut|] copies per class) and reports each
+    equilibrium class by its minimum-mask labeling, so the two records
+    are byte-identical wherever both run. Orderly reaches
+    [n <=] {!Orderly.max_vertices} (11) but needs an
+    isomorphism-invariant game: the α-game's verdict depends on the
+    labeling through edge ownership. *)
 
 type kind = Trees | Graphs | Orderly
 
@@ -111,22 +68,28 @@ type result =
   | Tree_result of tree_census
   | Graph_result of graph_census
   | Orderly_result of graph_census
-      (** Same record as {!Graph_result} — the orderly path computes the
-          identical census — but a distinct constructor so merges can
-          never mix the two shard geometries. *)
+      (** Same record as {!Graph_result} but a distinct constructor, so
+          the merge fits the geometry: rank-range shards can repeat a
+          class and dedup by canonical form, orderly shards hold disjoint
+          classes and merge by mask alone. *)
 
 val kind_name : kind -> string
 (** The wire name: ["trees"], ["graphs"] or ["orderly"]. *)
 
 val kind_of_name : string -> kind option
 
+val graph_kind : Game.t -> kind
+(** The graph enumeration a game's census uses: {!Orderly} for the basic
+    games (sum, max), {!Graphs} for [Alpha _]. *)
+
 val max_shard_vertices : kind -> int
-(** {!Enumerate.max_tree_vertices} / {!Enumerate.max_graph_vertices}. *)
+(** {!Enumerate.max_tree_vertices} / {!Enumerate.max_graph_vertices} /
+    {!Orderly.max_vertices}. *)
 
 val shard_space : kind -> int -> int
-(** Size of the full rank space on [n] vertices: [n^(n-2)] labeled trees
-    or [2^(n(n-1)/2)] edge masks. [n] must be within
-    {!max_shard_vertices}. *)
+(** Size of the full rank space on [n] vertices: [n^(n-2)] labeled trees,
+    [2^(n(n-1)/2)] edge masks or {!Orderly.space} roots. [n] must be
+    within {!max_shard_vertices}. *)
 
 val full_shard : kind -> Game.t -> int -> shard
 (** The whole census as a single shard: [lo = 0], [hi = shard_space].
@@ -138,13 +101,20 @@ val validate_shard : shard -> (unit, string) Stdlib.result
     requires a basic game); the returned message is suitable for a
     structured [invalid_params] reply. *)
 
-val run_shard : ?atlas:Atlas.t -> shard -> result
-(** Classify every tree/graph of the shard's rank range sequentially.
-    {!tree_census_in} and {!graph_census_in} are thin wrappers. [?atlas]
-    memoizes graph equilibrium verdicts as in {!graph_census}; tree
-    shards ignore it (the closed-form tree classification is cheaper
-    than a probe). @raise Invalid_argument when {!validate_shard}
-    fails. *)
+val run_shard : ?atlas:Atlas.t -> ?pool:Pool.t -> shard -> result
+(** Classify every tree/graph of the shard's rank range. For the sum
+    game every non-star tree receives the Theorem 1 witness; for max,
+    trees of diameter >= 4 receive the Lemma 2 witness and the rest run
+    the generic checker. With a [?pool] of more than one job the range
+    is cut into chunks, each classified on its offset sub-range, and the
+    chunks are folded with {!merge_result} in ascending order — the
+    result equals the sequential one, and [census.shard.calls] counts
+    one span per chunk. [?atlas] memoizes per-labeled-graph equilibrium
+    verdicts (key [eq:<game>:<graph6>], value ["1"]/["0"]; orderly and
+    rank-range runs populate disjoint entries) and never changes the
+    result; tree shards ignore it (the closed-form tree classification
+    is cheaper than a probe). @raise Invalid_argument when
+    {!validate_shard} fails. *)
 
 val split : shard -> parts:int -> shard list
 (** [split s ~parts] cuts [s] into at most [parts] contiguous,
@@ -155,21 +125,29 @@ val split : shard -> parts:int -> shard list
     @raise Invalid_argument when [parts < 1]. *)
 
 val merge_result : result -> result -> result
-(** {!merge_tree_census} / {!merge_graph_census} behind one type.
-    The first argument must be the lower-rank shard.
-    @raise Invalid_argument on mixed kinds or different [n]. *)
+(** Counts add and maxima max. Rank-range representatives are
+    re-deduplicated by canonical form, the first argument's copy winning;
+    orderly representative lists merge by mask. The first argument must
+    be the lower-rank shard. @raise Invalid_argument on mixed kinds or
+    different [n]. *)
 
-val tree_census_in : Game.t -> int -> lo:int -> hi:int -> tree_census
-(** One shard of the tree census: only the trees of Prüfer rank
-    [lo .. hi - 1] (see {!Enumerate.trees_in}). [total] counts the trees
-    in the range. Disjoint adjacent shards merged with
-    {!merge_tree_census} equal the full census.
-    @raise Invalid_argument unless [0 <= lo <= hi <= n^(n-2)]. *)
+(** {1 Whole censuses} *)
 
-val graph_census_in :
-  ?atlas:Atlas.t -> Game.t -> int -> lo:int -> hi:int -> graph_census
-(** One shard of the graph census: only the connected graphs whose
-    edge-subset mask lies in [[lo, hi)] (see
-    {!Enumerate.connected_graphs_in}). [connected] counts the connected
-    graphs in the range. @raise Invalid_argument unless
-    [0 <= lo <= hi <= 2^(n(n-1)/2)]. *)
+val tree_census : ?pool:Pool.t -> Game.t -> int -> tree_census
+(** All labeled trees on [n] vertices
+    (n <= {!Enumerate.max_tree_vertices}): [run_shard] on the full
+    {!Trees} shard. *)
+
+val graph_census :
+  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
+(** All connected labeled graphs on [n] vertices, enumerated as
+    {!graph_kind} picks: orderly for sum and max
+    (n <= {!Orderly.max_vertices}; on one core n = 8 takes about two
+    minutes for sum and two seconds for max), rank-range for the α-game
+    (n <= {!Enumerate.max_graph_vertices}; n = 7 takes about two minutes
+    on one core). *)
+
+val orderly_census :
+  ?atlas:Atlas.t -> ?pool:Pool.t -> Game.t -> int -> graph_census
+(** [run_shard] on the full {!Orderly} shard.
+    @raise Invalid_argument for [Alpha _]. *)

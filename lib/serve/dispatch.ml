@@ -7,9 +7,9 @@
    back off the worker; a worker failing repeatedly in a row is
    blacklisted (its thread exits, its queue share flows to the healthy
    ones). The merged result is byte-identical to the sequential census
-   because parts are merged in ascending rank order — the same
-   first-seen-wins discipline as [Census.merge_graph_census] — and
-   graph6 round-trips remote representatives exactly. *)
+   because parts are merged in ascending rank order with
+   [Census.merge_result] — the fold [Census.run_shard ~pool] does over
+   its chunks — and graph6 round-trips remote representatives exactly. *)
 
 let m_shards = Telemetry.counter "dispatch.shards"
 

@@ -116,46 +116,74 @@ let test_split_properties () =
   | [ s ] -> check_true "empty shard preserved" (s.Census.lo = 9 && s.Census.hi = 9)
   | pieces -> check_int "one piece" 1 (List.length pieces))
 
-let test_run_shard_matches_wrappers () =
-  let t = Census.full_shard Census.Trees Game.Max 5 in
-  let t = { t with Census.lo = 10; hi = 90 } in
+let render_result r = Jsonx.to_string (Rpc.census_result r)
+
+(* Sub-range shards carry their own kind and count only their own range;
+   the whole-census functions are the full shard's typed projection. *)
+let test_run_shard_sub_ranges () =
+  let t = { (Census.full_shard Census.Trees Game.Max 5) with Census.lo = 10; hi = 90 } in
   (match Census.run_shard t with
-  | Census.Tree_result c ->
-    check_true "tree shard = tree_census_in"
-      (c = Census.tree_census_in Game.Max 5 ~lo:10 ~hi:90)
+  | Census.Tree_result c -> check_int "trees in [10, 90)" 80 c.Census.total
   | _ -> check_true "tree kind" false);
-  let g = Census.full_shard Census.Graphs Game.Sum 4 in
-  let g = { g with Census.lo = 8; hi = 40 } in
+  let g = { (Census.full_shard Census.Graphs Game.Sum 4) with Census.lo = 8; hi = 40 } in
+  let in_range = ref 0 in
+  Enumerate.connected_graphs_in 4 ~lo:8 ~hi:40 (fun _ -> incr in_range);
   (match Census.run_shard g with
   | Census.Graph_result c ->
-    check_int "graph shard = graph_census_in"
-      (Census.graph_census_in Game.Sum 4 ~lo:8 ~hi:40).Census.connected
-      c.Census.connected
+    check_int "connected graphs in [8, 40)" !in_range c.Census.connected
   | _ -> check_true "graph kind" false);
-  let o = Census.full_shard Census.Orderly Game.Sum 5 in
-  let o = { o with Census.lo = 2; hi = 14 } in
-  match Census.run_shard o with
+  let o = { (Census.full_shard Census.Orderly Game.Sum 5) with Census.lo = 2; hi = 14 } in
+  (match Census.run_shard o with
   | Census.Orderly_result c ->
-    check_true "orderly shard = orderly_census_in"
-      (c = Census.orderly_census_in Game.Sum 5 ~lo:2 ~hi:14)
-  | _ -> check_true "orderly kind" false
+    let labeled = ref 0 in
+    Orderly.iter ~lo:2 ~hi:14 5 (fun _ cert ->
+        labeled := !labeled + (120 / cert.Canon.aut_count));
+    check_int "labeled copies of roots [2, 14)" !labeled c.Census.connected
+  | _ -> check_true "orderly kind" false);
+  let full kind game n = render_result (Census.run_shard (Census.full_shard kind game n)) in
+  check_true "tree_census = full Trees shard"
+    (render_result (Census.Tree_result (Census.tree_census Game.Max 6))
+    = full Census.Trees Game.Max 6);
+  check_true "graph_census sum = full Orderly shard"
+    (render_result (Census.Orderly_result (Census.graph_census Game.Sum 5))
+    = full Census.Orderly Game.Sum 5);
+  check_true "graph_census alpha:1 = full Graphs shard"
+    (render_result (Census.Graph_result (Census.graph_census (Game.Alpha 1.) 4))
+    = full Census.Graphs (Game.Alpha 1.) 4)
 
-(* The tentpole's acceptance bar: the orderly census record must equal
-   the rank-range one field for field — counts, histogram, and the
-   representative list in the same (first-seen mask) order — so the two
-   strategies print identical bytes. *)
-let orderly_identity version n =
-  let a = Census.graph_census version n in
-  let b = Census.orderly_census version n in
-  check_true "orderly census = rank-range census"
-    (String.equal
-       (Jsonx.to_string (Rpc.graph_census_result a))
-       (Jsonx.to_string (Rpc.graph_census_result b)))
+let test_graph_kind () =
+  check_true "sum census is orderly" (Census.graph_kind Game.Sum = Census.Orderly);
+  check_true "max census is orderly" (Census.graph_kind Game.Max = Census.Orderly);
+  List.iter
+    (fun a ->
+      check_true "alpha census is rank-range"
+        (Census.graph_kind (Game.Alpha a) = Census.Graphs))
+    [ 0.5; 1.; 4. ]
+
+(* The orderly census record must equal the rank-range one field for
+   field — counts, histogram, and the representative list in the same
+   (first-seen mask) order — so the game's choice of enumeration never
+   shows in the output. *)
+let orderly_identity game n =
+  let rank = Census.run_shard (Census.full_shard Census.Graphs game n) in
+  let orderly = Census.run_shard (Census.full_shard Census.Orderly game n) in
+  match (rank, orderly) with
+  | Census.Graph_result a, Census.Orderly_result b ->
+    check_true
+      (Printf.sprintf "%s n=%d: orderly census = rank-range census"
+         (Game.to_string game) n)
+      (String.equal
+         (Jsonx.to_string (Rpc.graph_census_result a))
+         (Jsonx.to_string (Rpc.graph_census_result b)))
+  | _ -> check_true "graph and orderly kinds" false
 
 let test_orderly_identity_small () =
-  orderly_identity Game.Sum 4;
-  orderly_identity Game.Sum 5;
-  orderly_identity Game.Max 5
+  List.iter
+    (fun game ->
+      for n = 3 to 5 do
+        orderly_identity game n
+      done)
+    [ Game.Sum; Game.Max ]
 
 let test_orderly_identity_n6 () =
   orderly_identity Game.Sum 6;
@@ -174,8 +202,6 @@ let test_merge_result_rejects_mixed () =
    leans on when shards complete out of order. The per-kind environment
    (full render + per-piece results) is computed lazily once; QCheck
    only drives the merge order. *)
-let render_result r = Jsonx.to_string (Rpc.census_result r)
-
 let merge_perm_env kind version n parts =
   lazy
     (let full = Census.full_shard kind version n in
@@ -218,7 +244,8 @@ let suite =
     slow_case "graph census max n=6 diameter 3" test_graph_census_max_diameter3_at_6;
     case "histogram consistency" test_histogram_consistent;
     case "split: cover, adjacency, determinism" test_split_properties;
-    case "run_shard matches the census_in wrappers" test_run_shard_matches_wrappers;
+    case "run_shard: sub-ranges and projections" test_run_shard_sub_ranges;
+    case "graph_kind: orderly for sum and max" test_graph_kind;
     case "orderly census identical to rank-range (n <= 5)" test_orderly_identity_small;
     slow_case "orderly census identical to rank-range (n = 6)" test_orderly_identity_n6;
     case "merge_result rejects mixed kinds" test_merge_result_rejects_mixed;

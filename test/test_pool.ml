@@ -203,39 +203,48 @@ let test_all_pairs_determinism () =
             (Bfs.all_pairs g = Bfs.all_pairs ~pool g))
         (kernel_graphs ()))
 
-let test_tree_census_determinism () =
+(* [run_shard ~pool] folds per-chunk sub-ranges with [merge_result];
+   every kind must reproduce the sequential record exactly, down to the
+   representative choice and order (compared as rendered wire JSON). *)
+let render r = Jsonx.to_string (Rpc.census_result r)
+
+let pooled_equals_sequential kind game n =
   Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun version ->
-          let seq = Census.tree_census version 6 in
-          let par = Census.tree_census ~pool version 6 in
-          check_true
-            (Game.to_string version
-            ^ ": parallel tree census n=6 equals sequential")
-            (seq = par))
-        [ Game.Sum; Game.Max ])
+      let shard = Census.full_shard kind game n in
+      check_true
+        (Printf.sprintf "%s %s n=%d: run_shard -j 4 = sequential"
+           (Census.kind_name kind) (Game.to_string game) n)
+        (render (Census.run_shard shard) = render (Census.run_shard ~pool shard)))
+
+let test_tree_census_determinism () =
+  List.iter
+    (fun game -> pooled_equals_sequential Census.Trees game 6)
+    [ Game.Sum; Game.Max; Game.Alpha 1. ];
+  (* one census.shard span per chunk; the outer call adds none *)
+  Pool.with_pool ~jobs:4 (fun pool ->
+      let was = Telemetry.enabled () in
+      Telemetry.reset ();
+      Telemetry.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> Telemetry.set_enabled was)
+        (fun () ->
+          ignore (Census.run_shard ~pool (Census.full_shard Census.Trees Game.Sum 6)));
+      check_int "one census.shard span per chunk"
+        (Telemetry.counter_value (Telemetry.counter "pool.tasks_dispatched"))
+        (Telemetry.span_count (Telemetry.span "census.shard")))
 
 let test_graph_census_determinism () =
+  List.iter
+    (fun game -> pooled_equals_sequential Census.Graphs game 5)
+    [ Game.Sum; Game.Max; Game.Alpha 1. ];
+  List.iter
+    (fun game -> pooled_equals_sequential Census.Orderly game 6)
+    [ Game.Sum; Game.Max ];
+  (* an offset sub-range: chunk boundaries are relative to [lo] *)
   Pool.with_pool ~jobs:4 (fun pool ->
-      List.iter
-        (fun version ->
-          let seq = Census.graph_census version 5 in
-          let par = Census.graph_census ~pool version 5 in
-          check_int "connected count" seq.Census.connected par.Census.connected;
-          check_int "labeled equilibria" seq.Census.equilibria_labeled
-            par.Census.equilibria_labeled;
-          check_int "max diameter" seq.Census.max_diameter par.Census.max_diameter;
-          check_true "diameter histogram equal"
-            (seq.Census.diameter_histogram = par.Census.diameter_histogram);
-          check_int "iso class count"
-            (List.length seq.Census.equilibria_iso)
-            (List.length par.Census.equilibria_iso);
-          (* chunk-ordered first-wins merge keeps even the representative
-             choice identical *)
-          List.iter2
-            (fun a b -> check_true "same representative" (Graph.equal a b))
-            seq.Census.equilibria_iso par.Census.equilibria_iso)
-        [ Game.Sum; Game.Max ])
+      let s = { (Census.full_shard Census.Graphs (Game.Alpha 1.) 5) with Census.lo = 37; hi = 901 } in
+      check_true "offset alpha:1 shard: run_shard -j 4 = sequential"
+        (render (Census.run_shard s) = render (Census.run_shard ~pool s)))
 
 let suite =
   [
