@@ -51,101 +51,17 @@ let refine g =
   done;
   !color
 
-(* --- canonical form --------------------------------------------------- *)
-
 let check_cap g =
   if Graph.n g > max_search_vertices then
     invalid_arg "Canon: graph exceeds max_search_vertices"
 
-(* Canonical form: the lexicographically minimal adjacency bitstring over
-   all color-class-respecting vertex orders.  Bits are emitted in
-   column-major order (x_{0,1}; x_{0,2}, x_{1,2}; x_{0,3}, ...) so that
-   placing the vertex at position [v] fixes exactly the next [v] bits —
-   which lets the backtracking search prune any branch whose partial
-   string already exceeds the best one found.  Without the pruning,
-   vertex-transitive graphs (single color class) would cost n! full
-   evaluations. *)
-let canonical_form g =
-  check_cap g;
-  let n = Graph.n g in
-  if n = 0 then ""
-  else begin
-    let color = refine g in
-    (* position i must receive a vertex of the i-th smallest color *)
-    let target =
-      let sorted = Array.copy color in
-      Array.sort compare sorted;
-      sorted
-    in
-    let total_bits = n * (n - 1) / 2 in
-    let buf = Bytes.create total_bits in
-    let best = ref (Bytes.make total_bits '1') in
-    let have_best = ref false in
-    let perm = Array.make n (-1) in
-    let used = Array.make n false in
-    (* offset of column v's first bit *)
-    let col_off v = v * (v - 1) / 2 in
-    (* [go v lt] explores positions v.. with [lt] = "the buffer's prefix is
-       strictly below the incumbent's".  Returns true when the subtree
-       replaced the incumbent — in that case the caller's prefix equals the
-       new incumbent's prefix, so its own [lt] state must reset to
-       "equal". *)
-    let rec go v lt =
-      if v = n then begin
-        if lt || not !have_best then begin
-          Bytes.blit buf 0 !best 0 total_bits;
-          have_best := true;
-          true
-        end
-        else false
-      end
-      else begin
-        let updated = ref false in
-        let lt_state = ref lt in
-        for candidate = 0 to n - 1 do
-          if (not used.(candidate)) && color.(candidate) = target.(v) then begin
-            let off = col_off v in
-            for j = 0 to v - 1 do
-              Bytes.set buf (off + j)
-                (if Graph.mem_edge g perm.(j) candidate then '1' else '0')
-            done;
-            (* compare this column against the incumbent *)
-            let verdict =
-              if !lt_state || not !have_best then -1
-              else begin
-                let rec cmp j =
-                  if j >= v then 0
-                  else begin
-                    let c =
-                      Char.compare (Bytes.get buf (off + j)) (Bytes.get !best (off + j))
-                    in
-                    if c <> 0 then c else cmp (j + 1)
-                  end
-                in
-                cmp 0
-              end
-            in
-            if verdict <= 0 then begin
-              used.(candidate) <- true;
-              perm.(v) <- candidate;
-              if go (v + 1) (!lt_state || verdict < 0) then begin
-                (* incumbent replaced along this path: our prefix now ties *)
-                lt_state := false;
-                updated := true
-              end;
-              used.(candidate) <- false;
-              perm.(v) <- -1
-            end
-          end
-        done;
-        !updated
-      end
-    in
-    ignore (go 0 false);
-    Printf.sprintf "%d:%s" n (Bytes.to_string !best)
-  end
+(* Adjacency as one bitmask per vertex: bit [w] of [rows.(v)] is the
+   edge v–w. Within the search cap a row fits in an int. *)
+let rows_of g =
+  Array.init (Graph.n g) (fun v ->
+      Graph.fold_neighbors (fun acc w -> acc lor (1 lsl w)) 0 g v)
 
-(* --- certificate with labeling, group order and position orbits -------- *)
+(* --- the canonical search ---------------------------------------------- *)
 
 type cert = {
   form : string;
@@ -168,8 +84,29 @@ let complete_cert n =
     position_vertices = Array.make n ((1 lsl n) - 1);
   }
 
-(* Same search as [canonical_form], extended with the three facts the
-   orderly census needs and that only the search can provide: one optimal
+(* [cols.(v)] holds column v as a v-bit int, most significant bit first:
+   bit j of the column is the pair (j, v). *)
+let form_of_columns n cols =
+  let bits = Bytes.create (n * (n - 1) / 2) in
+  for v = 1 to n - 1 do
+    let off = v * (v - 1) / 2 in
+    for j = 0 to v - 1 do
+      Bytes.set bits (off + j) (if (cols.(v) lsr (v - 1 - j)) land 1 = 1 then '1' else '0')
+    done
+  done;
+  Printf.sprintf "%d:%s" n (Bytes.to_string bits)
+
+(* The canonical form is the lexicographically minimal adjacency
+   bitstring over all color-class-respecting vertex orders. Bits are
+   emitted in column-major order (x_{0,1}; x_{0,2}, x_{1,2}; x_{0,3},
+   ...) so that placing the vertex at position [v] fixes exactly column
+   [v] — which lets the backtracking search prune any branch whose
+   partial string already exceeds the best one found. A column is kept
+   as an int with x_{0,v} as its top bit, so comparing columns as ints
+   compares them lexicographically.
+
+   Besides the string, the search yields the three facts the orderly
+   census needs and that only the search can provide: one optimal
    labeling, the number of optimal leaves, and for each canonical
    position the set of vertices some optimal labeling places there.
    Two labelings produce the same minimal string iff they differ by an
@@ -183,15 +120,16 @@ let cert g =
     { form = ""; perm = [||]; aut_count = 1; position_vertices = [||] }
   else if Graph.m g = n * (n - 1) / 2 then complete_cert n
   else begin
+    let rows = rows_of g in
     let color = refine g in
+    (* position i must receive a vertex of the i-th smallest color *)
     let target =
       let sorted = Array.copy color in
       Array.sort compare sorted;
       sorted
     in
-    let total_bits = n * (n - 1) / 2 in
-    let buf = Bytes.create total_bits in
-    let best = ref (Bytes.make total_bits '1') in
+    let cols = Array.make n 0 in
+    let best = Array.make n 0 in
     let have_best = ref false in
     let perm = Array.make n (-1) in
     let used = Array.make n false in
@@ -204,11 +142,15 @@ let cert g =
         seen.(p) <- seen.(p) lor (1 lsl perm.(p))
       done
     in
-    let col_off v = v * (v - 1) / 2 in
+    (* [go v lt] explores positions v.. with [lt] = "the prefix is
+       strictly below the incumbent's". Returns true when the subtree
+       replaced the incumbent — in that case the caller's prefix equals
+       the new incumbent's prefix, so its own [lt] state must reset to
+       "equal". *)
     let rec go v lt =
       if v = n then begin
         if lt || not !have_best then begin
-          Bytes.blit buf 0 !best 0 total_bits;
+          Array.blit cols 0 best 0 n;
           have_best := true;
           Array.blit perm 0 best_perm 0 n;
           leaves := 0;
@@ -228,30 +170,20 @@ let cert g =
         let lt_state = ref lt in
         for candidate = 0 to n - 1 do
           if (not used.(candidate)) && color.(candidate) = target.(v) then begin
-            let off = col_off v in
+            let row = rows.(candidate) in
+            let col = ref 0 in
             for j = 0 to v - 1 do
-              Bytes.set buf (off + j)
-                (if Graph.mem_edge g perm.(j) candidate then '1' else '0')
+              col := (!col lsl 1) lor ((row lsr perm.(j)) land 1)
             done;
             let verdict =
-              if !lt_state || not !have_best then -1
-              else begin
-                let rec cmp j =
-                  if j >= v then 0
-                  else begin
-                    let c =
-                      Char.compare (Bytes.get buf (off + j)) (Bytes.get !best (off + j))
-                    in
-                    if c <> 0 then c else cmp (j + 1)
-                  end
-                in
-                cmp 0
-              end
+              if !lt_state || not !have_best then -1 else Int.compare !col best.(v)
             in
             if verdict <= 0 then begin
               used.(candidate) <- true;
               perm.(v) <- candidate;
+              cols.(v) <- !col;
               if go (v + 1) (!lt_state || verdict < 0) then begin
+                (* incumbent replaced along this path: our prefix now ties *)
                 lt_state := false;
                 updated := true
               end;
@@ -265,12 +197,27 @@ let cert g =
     in
     ignore (go 0 false);
     {
-      form = Printf.sprintf "%d:%s" n (Bytes.to_string !best);
+      form = form_of_columns n best;
       perm = best_perm;
       aut_count = !leaves;
       position_vertices = seen;
     }
   end
+
+let canonical_form g = (cert g).form
+
+(* Position p of the canonical copy is vertex [perm.(p)] of [g]. The
+   edges are added in column-major order. *)
+let canonical_copy g c =
+  let n = Graph.n g in
+  let rows = rows_of g in
+  let h = Graph.create n in
+  for q = 1 to n - 1 do
+    for p = 0 to q - 1 do
+      if (rows.(c.perm.(p)) lsr c.perm.(q)) land 1 = 1 then Graph.add_edge h p q
+    done
+  done;
+  h
 
 let isomorphic a b =
   Graph.n a = Graph.n b
@@ -284,60 +231,29 @@ let isomorphic a b =
 
 (* --- automorphisms ---------------------------------------------------- *)
 
-let automorphisms g =
-  check_cap g;
-  let n = Graph.n g in
-  let color = refine g in
-  let image = Array.make n (-1) in
-  let used = Array.make n false in
-  let out = ref [] in
-  (* assign image.(v) for v = 0, 1, ...; candidate w must share v's refined
-     color and match adjacency against all previously assigned vertices *)
-  let consistent v w =
-    let ok = ref true in
-    for u = 0 to v - 1 do
-      if Graph.mem_edge g u v <> Graph.mem_edge g image.(u) w then ok := false
-    done;
-    !ok
-  in
-  let rec go v =
-    if v = n then out := Array.copy image :: !out
-    else
-      for w = 0 to n - 1 do
-        if (not used.(w)) && color.(w) = color.(v) && consistent v w then begin
-          used.(w) <- true;
-          image.(v) <- w;
-          go (v + 1);
-          used.(w) <- false;
-          image.(v) <- -1
-        end
-      done
-  in
-  go 0;
-  !out
-
-let automorphism_count g = List.length (automorphisms g)
-
 exception Over_cap
 
-(* [automorphisms] with an escape hatch: highly symmetric graphs (K_k
-   and friends) have groups far too large to materialize, and callers
-   that only use the list to orbit-partition a small set can fall back
-   to something else when the group is huge. *)
+(* Highly symmetric graphs (K_k and friends) have groups far too large
+   to materialize, so the enumeration stops past [cap] and callers that
+   only use the list to orbit-partition a small set can fall back to
+   something else. *)
 let automorphisms_capped ~cap g =
   check_cap g;
   let n = Graph.n g in
+  let rows = rows_of g in
   let color = refine g in
   let image = Array.make n (-1) in
   let used = Array.make n false in
   let out = ref [] in
   let count = ref 0 in
+  (* assign image.(v) for v = 0, 1, ...; candidate w must share v's refined
+     color and match adjacency against all previously assigned vertices *)
   let consistent v w =
-    let ok = ref true in
-    for u = 0 to v - 1 do
-      if Graph.mem_edge g u v <> Graph.mem_edge g image.(u) w then ok := false
-    done;
-    !ok
+    let rv = rows.(v) and rw = rows.(w) in
+    let rec ok u =
+      u >= v || ((rv lsr u) land 1 = (rw lsr image.(u)) land 1 && ok (u + 1))
+    in
+    ok 0
   in
   let rec go v =
     if v = n then begin
@@ -358,22 +274,24 @@ let automorphisms_capped ~cap g =
   in
   match go 0 with () -> Some !out | exception Over_cap -> None
 
+let automorphism_count g = (cert g).aut_count
+
+(* The orbit of vertex [perm.(p)] is [position_vertices.(p)]; orbits are
+   numbered in the order of their least member. *)
 let orbits g =
+  let c = cert g in
   let n = Graph.n g in
-  let uf = Union_find.create n in
-  List.iter
-    (fun sigma ->
-      Array.iteri (fun v w -> ignore (Union_find.union uf v w)) sigma)
-    (automorphisms g);
+  let orbit = Array.make n 0 in
+  Array.iteri (fun p v -> orbit.(v) <- c.position_vertices.(p)) c.perm;
   let label = Array.make n (-1) in
   let next = ref 0 in
   for v = 0 to n - 1 do
-    let r = Union_find.find uf v in
-    if label.(r) < 0 then begin
-      label.(r) <- !next;
+    if label.(v) < 0 then begin
+      for w = v to n - 1 do
+        if (orbit.(v) lsr w) land 1 = 1 then label.(w) <- !next
+      done;
       incr next
-    end;
-    label.(v) <- label.(r)
+    end
   done;
   label
 

@@ -17,24 +17,26 @@ val refine : Graph.t -> int array
     dense in [\[0, k)] and sorted by class signature. Isomorphic graphs get
     identical color histograms. Works for any size. *)
 
-val canonical_form : Graph.t -> string
-(** A string certificate: equal iff the graphs are isomorphic (for graphs
-    within the search cap). *)
+(** {1 The canonical search}
 
-val isomorphic : Graph.t -> Graph.t -> bool
-(** Cheap invariants first (n, m, degree sequence, refined color histogram),
-    then certificate comparison. *)
+    One backtracking search over class-respecting vertex orders finds
+    the lexicographically minimal adjacency bitstring and returns it as
+    a {!cert}: the canonical form, one labeling that achieves it, the
+    automorphism group order (for orbit-stabilizer labeled counting in
+    {!Orderly}) and the orbit of each canonical position (for the
+    orderly canonical-deletion test). {!canonical_form},
+    {!canonical_copy}, {!automorphism_count} and {!orbits} are
+    projections of it.
 
-(** {1 Certificate with labeling}
-
-    The orderly census ({!Orderly}) needs more than the bare string: a
-    labeling that achieves it, the automorphism group order (for
-    orbit-stabilizer labeled counting), and the orbit of each canonical
-    position (for the canonical-deletion test). All four come out of the
-    single backtracking search. *)
+    {b Cost.} Every optimal leaf is visited, so the search costs at
+    least [|Aut(g)|] leaves: a star K{_1,k} or k isolated vertices take
+    k! leaves. Complete graphs short-circuit to a closed form; no other
+    symmetry is pruned. *)
 
 type cert = {
-  form : string;  (** equals {!canonical_form}. *)
+  form : string;
+      (** the canonical form: ["<n>:<bits>"], the minimal bitstring in
+          column-major order over canonical positions. *)
   perm : int array;
       (** one optimal labeling: [perm.(p)] is the vertex placed at
           canonical position [p]. *)
@@ -46,23 +48,37 @@ type cert = {
 }
 
 val cert : Graph.t -> cert
-(** Same cost profile as {!canonical_form} (equal-prefix branches were
-    already explored); complete graphs short-circuit to a closed form. *)
 
-val automorphisms : Graph.t -> int array list
-(** All automorphisms as permutation arrays ([σ.(v)] is the image of [v]).
-    Includes the identity. *)
+val canonical_form : Graph.t -> string
+(** [(cert g).form]: equal iff the graphs are isomorphic (for graphs
+    within the search cap). *)
+
+val canonical_copy : Graph.t -> cert -> Graph.t
+(** [canonical_copy g (cert g)] is the graph on canonical positions:
+    [p]–[q] is an edge iff [perm.(p)]–[perm.(q)] is an edge of [g]. Its
+    adjacency bitstring is [form]. *)
+
+val isomorphic : Graph.t -> Graph.t -> bool
+(** Cheap invariants first (n, m, degree sequence, refined color histogram),
+    then certificate comparison. *)
+
+(** {1 Automorphisms} *)
 
 val automorphisms_capped : cap:int -> Graph.t -> int array list option
-(** [automorphisms_capped ~cap g] is [Some] of the full group when its
-    order is at most [cap], [None] otherwise (the search aborts on the
+(** The one automorphism enumerator. [automorphisms_capped ~cap g] is
+    [Some] of the full group — permutation arrays, [σ.(v)] the image of
+    [v], identity included — when its order is at most [cap] ([~cap:max_int]
+    for all of it), [None] otherwise (the search aborts on the
     [cap+1]-th element, so pathological groups cost O(cap), not
     O(n!)). *)
 
 val automorphism_count : Graph.t -> int
+(** [(cert g).aut_count]. *)
 
 val orbits : Graph.t -> int array
-(** [orbits g] labels each vertex with its automorphism-orbit index. *)
+(** [orbits g] labels each vertex with its automorphism-orbit index,
+    orbits numbered in the order of their least member; read off
+    [(cert g).position_vertices]. *)
 
 val is_vertex_transitive : Graph.t -> bool
 (** Single orbit. Note: Cayley graphs are vertex-transitive by construction;

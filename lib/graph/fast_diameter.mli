@@ -5,8 +5,9 @@
     midpoint, vertices are processed by decreasing level — the upper bound
     2·level meets the running lower bound after few eccentricity
     computations on most real graphs. Worst case matches the naive O(n·m)
-    bound, typical case is a handful of BFS runs. Used by the experiment
-    harness on the larger tori and as a cross-check oracle for
+    bound, typical case is a handful of BFS runs. Only the bench
+    harness (one kernel row in [bench/main.ml], on the k = 8 Theorem 12
+    torus) and its own tests call it; the tests cross-check it against
     {!Metrics.diameter}. *)
 
 val double_sweep_lower_bound : Graph.t -> int option

@@ -222,21 +222,6 @@ let min_mask_graph g =
   go 0;
   graph_of_mask n !best
 
-let canonical_copy (cert : Canon.cert) =
-  let n = Array.length cert.Canon.perm in
-  let g = Graph.create n in
-  let body =
-    (* form is "<n>:<bits>"; bits are column-major over positions *)
-    let s = cert.Canon.form in
-    String.sub s (String.index s ':' + 1) (n * (n - 1) / 2)
-  in
-  for v = 1 to n - 1 do
-    for u = 0 to v - 1 do
-      if body.[pair_index u v] = '1' then Graph.add_edge g u v
-    done
-  done;
-  g
-
 let representative g cert =
   if Graph.n g <= min_mask_vertices then min_mask_graph g
-  else canonical_copy cert
+  else Canon.canonical_copy g cert

@@ -45,7 +45,14 @@
     graphs all get structured error replies and never kill the server;
     the per-request deadline is enforced cooperatively (checked before
     heavy dispatch and between census slices). SIGPIPE is ignored; a
-    client vanishing mid-reply only closes that connection.
+    client vanishing mid-reply only closes that connection. {e One
+    unbounded step:} the canonical-key search of a [check] (basic game,
+    graph within {!Canon.max_search_vertices}, not yet memoized) runs
+    before the deadline is first checked and is not interruptible. It
+    costs at least [|Aut(g)|] leaves — 10 isolated vertices or K{_1,10}
+    take under a second, each added vertex multiplies that by ~11 — so
+    a single [check] of K{_1,15} or of 16 isolated vertices holds its
+    worker for days. A request deadline does not protect against it.
 
     {b Telemetry.} [serve.requests], [serve.ok], [serve.errors],
     [serve.connections], [serve.cache_hits]/[serve.cache_misses],

@@ -49,7 +49,22 @@ let test_canonical_form_equal_iff_isomorphic () =
   let b = relabel a [| 2; 0; 3; 1; 4 |] in
   check_true "same form" (Canon.canonical_form a = Canon.canonical_form b);
   check_false "different graphs different form"
-    (Canon.canonical_form (Generators.path 5) = Canon.canonical_form a)
+    (Canon.canonical_form (Generators.path 5) = Canon.canonical_form a);
+  (* the exact bytes are persisted: serve writes check:<game>:canon:<form>
+     keys into the atlas, so a drifted byte turns warm hits into misses *)
+  List.iter
+    (fun (name, g, form) ->
+      Alcotest.(check string) ("pinned form " ^ name) form (Canon.canonical_form g))
+    [
+      "K1", Graph.create 1, "1:";
+      "P4", Generators.path 4, "4:001101";
+      "C5", Generators.cycle 5, "5:0011011100";
+      "K4", Generators.complete 4, "4:111111";
+      "K1,4", Generators.star 5, "5:0000001111";
+      "Petersen", Generators.petersen (), "10:000000001101010011000100100110100100110010000";
+      "3x3 torus", Generators.torus_grid 3 3, "9:000011011010101101100110010111010100";
+      "P3+K2+K1", Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4) ], "6:001000000000011";
+    ]
 
 let test_automorphism_counts () =
   check_int "C5 dihedral" 10 (Canon.automorphism_count (Generators.cycle 5));
@@ -65,7 +80,7 @@ let test_automorphisms_are_automorphisms () =
       Graph.iter_edges
         (fun u v -> check_true "edge preserved" (Graph.mem_edge g sigma.(u) sigma.(v)))
         g)
-    (Canon.automorphisms g)
+    (Option.get (Canon.automorphisms_capped ~cap:max_int g))
 
 let test_orbits () =
   let g = Generators.double_star 2 2 in
@@ -87,6 +102,27 @@ let test_size_cap () =
   Alcotest.check_raises "cap enforced"
     (Invalid_argument "Canon: graph exceeds max_search_vertices") (fun () ->
       ignore (Canon.canonical_form (Generators.cycle 17)))
+
+(* Oracle for the projections of [Canon.cert]: the full automorphism
+   group from the separate enumerator, orbits by union-find over it. *)
+let test_projections_vs_group =
+  qcheck ~count:80 "orbits and |Aut| match the enumerated group"
+    (gen_any_graph ~min_n:0 ~max_n:8) (fun g ->
+      let n = Graph.n g in
+      let group = Option.get (Canon.automorphisms_capped ~cap:max_int g) in
+      let uf = Union_find.create n in
+      List.iter (Array.iteri (fun v w -> ignore (Union_find.union uf v w))) group;
+      let label = Array.make n (-1) in
+      let next = ref 0 in
+      for v = 0 to n - 1 do
+        let r = Union_find.find uf v in
+        if label.(r) < 0 then begin
+          label.(r) <- !next;
+          incr next
+        end;
+        label.(v) <- label.(r)
+      done;
+      Canon.automorphism_count g = List.length group && Canon.orbits g = label)
 
 let test_isomorphic_random_relabel =
   qcheck ~count:60 "random relabelings are isomorphic"
@@ -120,6 +156,7 @@ let suite =
     case "orbits" test_orbits;
     case "vertex transitivity" test_vertex_transitive;
     case "size cap" test_size_cap;
+    test_projections_vs_group;
     test_isomorphic_random_relabel;
     test_edge_toggle_breaks_isomorphism;
   ]

@@ -77,10 +77,22 @@ let test_rejects_out_of_range () =
   Alcotest.check_raises "bad range" (Invalid_argument "Orderly.iter")
     (fun () -> Orderly.iter ~lo:2 ~hi:1 5 (fun _ _ -> ()))
 
+(* The graph spelled by a canonical form's column-major bitstring. *)
+let graph_of_form n form =
+  let bits = String.sub form (String.index form ':' + 1) (n * (n - 1) / 2) in
+  let g = Graph.create n in
+  for v = 1 to n - 1 do
+    for u = 0 to v - 1 do
+      if bits.[(v * (v - 1) / 2) + u] = '1' then Graph.add_edge g u v
+    done
+  done;
+  g
+
 (* Certificate sanity over random connected graphs: the permutation is a
    bijection mapping the graph onto its canonical copy, |Aut| divides n!,
    and each position's orbit mask contains the vertex the optimal
-   labeling places there. *)
+   labeling places there. The canonical copy built from the permutation
+   is the graph the form spells, edge for edge. *)
 let cert_sane g =
   let n = Graph.n g in
   let cert = Canon.cert g in
@@ -93,7 +105,10 @@ let cert_sane g =
   && Array.for_all2
        (fun mask v -> mask land (1 lsl v) <> 0)
        cert.Canon.position_vertices cert.Canon.perm
-  && String.equal (Canon.canonical_form (Orderly.canonical_copy cert)) cert.Canon.form
+  &&
+  let copy = Canon.canonical_copy g cert in
+  String.equal (Canon.canonical_form copy) cert.Canon.form
+  && Graph.edges copy = Graph.edges (graph_of_form n cert.Canon.form)
 
 (* The minimum-mask copy is isomorphic to its input and no labeled copy
    has a smaller column-major edge mask — the invariant that makes the
