@@ -3,26 +3,47 @@
    Subcommands: generate, info, check, dynamics, census, experiment, hunt,
    audit, serve, call, atlas. Graphs cross the CLI boundary as graph6
    strings so results can be piped between invocations and into external
-   tools. *)
+   tools.
+
+   Every subcommand is a term yielding a [unit -> unit] run, registered
+   through [command], the one error boundary: a run that fails on its
+   input ends as a single "bncg: ..." line with exit 124, and out-of-range
+   flag values are rejected by the converters below before any work
+   starts. Exit 125 is left to genuine bugs. *)
 
 open Cmdliner
 
-(* --- shared helpers ---------------------------------------------------- *)
+(* --- the error boundary --------------------------------------------------- *)
 
-let opt_cell = function Some d -> string_of_int d | None -> "inf"
+let command name ~doc run =
+  let guard run =
+    match run () with
+    | () -> `Ok ()
+    | exception (Invalid_argument msg | Failure msg | Sys_error msg) -> `Error (false, msg)
+    | exception Unix.Unix_error (e, fn, arg) ->
+      `Error (false, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(ret (const guard $ run))
 
-let graph_summary g =
-  Printf.printf "n = %d, m = %d\n" (Graph.n g) (Graph.m g);
-  Printf.printf "connected: %b\n" (Components.is_connected g);
-  Printf.printf "diameter: %s\n" (opt_cell (Metrics.diameter g));
-  Printf.printf "radius: %s\n" (opt_cell (Metrics.radius g));
-  Printf.printf "girth: %s\n"
-    (match Metrics.girth g with Some x -> string_of_int x | None -> "- (forest)");
-  Printf.printf "degrees: min %d, max %d\n" (Graph.min_degree g) (Graph.max_degree g);
-  (match Metrics.wiener_index g with
-  | Some w -> Printf.printf "wiener index: %d (social sum cost %d)\n" w (2 * w)
-  | None -> ());
-  Printf.printf "graph6: %s\n" (Graph6.encode g)
+let ok_or_fail = function Ok x -> x | Error msg -> failwith msg
+
+(* --- converters ------------------------------------------------------------ *)
+
+(* Range-checked numbers: an out-of-range value is a usage error caught
+   while parsing. The library keeps its own checks for its other callers. *)
+let checked conv what ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let pos_int = checked Arg.int "an integer >= 1" (fun v -> v >= 1)
+let nonneg_int = checked Arg.int "an integer >= 0" (fun v -> v >= 0)
+let nonneg_float = checked Arg.float "a number >= 0" (fun v -> v >= 0.)
+let unit_float = checked Arg.float "a number in [0, 1]" (fun v -> v >= 0. && v <= 1.)
 
 (* One parser for every --game flag: the same [Game.of_string] the RPC
    wire protocol and the atlas key namespaces go through. *)
@@ -30,30 +51,9 @@ let game_conv =
   let parse s = Result.map_error (fun msg -> `Msg msg) (Game.of_string s) in
   Arg.conv (parse, Game.pp)
 
-let game_doc = "Game: sum, max, or alpha:$(i,A) (e.g. alpha:1.5)."
-
-let graph6_arg =
-  let doc = "The graph, as a graph6 string (as printed by $(b,bncg generate))." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"GRAPH6" ~doc)
-
-let jobs_arg =
-  let doc =
-    "Worker domains for the parallel kernels (census sharding, per-agent \
-     equilibrium scans). 0 means all available cores; 1 forces the \
-     sequential code path."
-  in
-  Arg.(value & opt int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
-
-(* 0 = hardware default; every subcommand builds its pool through here so
-   the domains are joined on the way out *)
-let with_jobs jobs f =
-  if jobs < 0 then `Error (false, "--jobs must be >= 0")
-  else begin
-    let jobs = if jobs = 0 then Pool.available_jobs () else jobs in
-    Pool.with_pool ~jobs f
-  end
-
-let decode_graph = Graph6.decode_result
+let graph6_conv =
+  let parse s = Result.map_error (fun msg -> `Msg msg) (Graph6.decode_result s) in
+  Arg.conv (parse, fun ppf g -> Format.pp_print_string ppf (Graph6.encode g))
 
 (* "unix:PATH" or "tcp:HOST:PORT"; the shared address syntax of
    bncg serve --listen, bncg call --addr and bncg census --workers *)
@@ -74,47 +74,79 @@ let parse_address s =
   | _ ->
     Error (`Msg (Printf.sprintf "expected unix:PATH or tcp:HOST:PORT, got %S" s))
 
-(* --- telemetry plumbing ------------------------------------------------- *)
+let address_conv = Arg.conv (parse_address, Serve.pp_address)
 
-let stats_arg =
+(* --- shared terms ---------------------------------------------------------- *)
+
+let game_info = Arg.info [ "game" ] ~doc:"Game: sum, max, or alpha:$(i,A) (e.g. alpha:1.5)."
+let game_arg = Arg.(value & opt game_conv Game.Sum game_info)
+let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.")
+
+let graph6_arg =
+  let doc = "The graph, as a graph6 string (as printed by $(b,bncg generate))." in
+  Arg.(required & pos 0 (some graph6_conv) None & info [] ~docv:"GRAPH6" ~doc)
+
+let jobs_arg =
   let doc =
-    "Enable the telemetry layer and print a sorted metric table (counters, \
-     gauges, span timers) after the run."
+    "Worker domains for the parallel kernels (census sharding, per-agent \
+     equilibrium scans). 0 means all available cores; 1 forces the \
+     sequential code path."
   in
-  Arg.(value & flag & info [ "stats" ] ~doc)
+  Arg.(value & opt nonneg_int 0 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let stats_json_arg =
-  let doc =
-    "Enable the telemetry layer and write the metrics to $(docv) as a JSON \
-     array of {name, kind, value} rows (same row discipline as bench --json)."
-  in
-  Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
+(* 0 = hardware default; every subcommand builds its pool through here so
+   the domains are joined on the way out *)
+let with_jobs jobs f =
+  let jobs = if jobs = 0 then Pool.available_jobs () else jobs in
+  Pool.with_pool ~jobs f
 
-(* fail before the (long) run, not after it — the bench --json pattern *)
-let stats_json_writable path =
-  match open_out path with
-  | oc ->
-    close_out oc;
-    Ok ()
-  | exception Sys_error msg ->
-    Error (Printf.sprintf "cannot write --stats-json target: %s" msg)
-
-let with_stats stats stats_json f =
-  if not (stats || stats_json <> None) then f ()
-  else begin
-    let writable =
-      match stats_json with Some p -> stats_json_writable p | None -> Ok ()
+(* --stats and --stats-json, as the wrapper that runs a command under the
+   telemetry layer *)
+let stats_term =
+  let stats =
+    let doc =
+      "Enable the telemetry layer and print a sorted metric table (counters, \
+       gauges, span timers) after the run."
     in
-    match writable with
-    | Error msg -> `Error (false, msg)
-    | Ok () ->
+    Arg.(value & flag & info [ "stats" ] ~doc)
+  in
+  let stats_json =
+    let doc =
+      "Enable the telemetry layer and write the metrics to $(docv) as a JSON \
+       array of {name, kind, value} rows (same row discipline as bench --json)."
+    in
+    Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE" ~doc)
+  in
+  let with_stats stats stats_json f =
+    if not (stats || stats_json <> None) then f ()
+    else begin
+      (* fail before the (long) run, not after it *)
+      Option.iter (fun path -> close_out (open_out path)) stats_json;
       Telemetry.reset ();
       Telemetry.set_enabled true;
-      let r = f () in
+      f ();
       if stats then Telemetry.print_report ();
-      Option.iter Telemetry.write_json stats_json;
-      r
-  end
+      Option.iter Telemetry.write_json stats_json
+    end
+  in
+  Term.(const with_stats $ stats $ stats_json)
+
+(* --- printers ---------------------------------------------------------------- *)
+
+let opt_cell = function Some d -> string_of_int d | None -> "inf"
+
+let graph_summary g =
+  Printf.printf "n = %d, m = %d\n" (Graph.n g) (Graph.m g);
+  Printf.printf "connected: %b\n" (Components.is_connected g);
+  Printf.printf "diameter: %s\n" (opt_cell (Metrics.diameter g));
+  Printf.printf "radius: %s\n" (opt_cell (Metrics.radius g));
+  Printf.printf "girth: %s\n"
+    (match Metrics.girth g with Some x -> string_of_int x | None -> "- (forest)");
+  Printf.printf "degrees: min %d, max %d\n" (Graph.min_degree g) (Graph.max_degree g);
+  (match Metrics.wiener_index g with
+  | Some w -> Printf.printf "wiener index: %d (social sum cost %d)\n" w (2 * w)
+  | None -> ());
+  Printf.printf "graph6: %s\n" (Graph6.encode g)
 
 (* --- generate ----------------------------------------------------------- *)
 
@@ -136,11 +168,11 @@ let generate_families =
     ("gnm", `Gnm);
   ]
 
-let generate family n k dim seed edges_out =
+let generate family n k dim seed edges_out () =
   let rng = Prng.create seed in
   let need_n what = match n with
     | Some n -> n
-    | None -> invalid_arg (Printf.sprintf "--n is required for %s" what)
+    | None -> invalid_arg (Printf.sprintf "-n is required for %s" what)
   in
   let g =
     match family with
@@ -161,11 +193,10 @@ let generate family n k dim seed edges_out =
       let n = need_n "gnm" in
       Random_graphs.connected_gnm rng n (max (n - 1) (2 * n))
   in
-  (match edges_out with
+  match edges_out with
   | `Graph6 -> print_endline (Graph6.encode g)
   | `Edges -> print_string (Graph_io.to_edge_list g)
-  | `Dot -> print_string (Graph_io.to_dot g));
-  `Ok ()
+  | `Dot -> print_string (Graph_io.to_dot g)
 
 let generate_cmd =
   let family =
@@ -182,115 +213,113 @@ let generate_cmd =
     Arg.(value & opt int 3 & info [ "k" ] ~doc:"Family parameter (torus k, polarity q, double-star second arm, ...).")
   in
   let dim = Arg.(value & opt int 2 & info [ "dim" ] ~doc:"Torus dimension.") in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
   let edges =
     Arg.(
       value
       & opt (enum [ ("graph6", `Graph6); ("edges", `Edges); ("dot", `Dot) ]) `Graph6
       & info [ "format" ] ~doc:"Output format: graph6 (default), edges, or dot.")
   in
-  let run family n k dim seed edges =
-    try generate family n k dim seed edges
-    with Invalid_argument msg -> `Error (false, msg)
-  in
-  Cmd.v
-    (Cmd.info "generate" ~doc:"Generate a graph from a named family")
-    Term.(ret (const run $ family $ n $ k $ dim $ seed $ edges))
+  command "generate" ~doc:"Generate a graph from a named family"
+    Term.(const generate $ family $ n $ k $ dim $ seed_arg $ edges)
 
 (* --- info ---------------------------------------------------------------- *)
 
 let info_cmd =
-  let run g6 =
-    match decode_graph g6 with
-    | Error msg -> `Error (false, msg)
-    | Ok g ->
-      graph_summary g;
-      `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "info" ~doc:"Print structural metrics of a graph")
-    Term.(ret (const run $ graph6_arg))
+  command "info" ~doc:"Print structural metrics of a graph"
+    Term.(const (fun g () -> graph_summary g) $ graph6_arg)
 
 (* --- check ---------------------------------------------------------------- *)
 
-let check game jobs stats stats_json g6 =
-  match decode_graph g6 with
-  | Error msg -> `Error (false, msg)
-  | Ok g ->
-    with_stats stats stats_json @@ fun () ->
-    with_jobs jobs @@ fun pool ->
-    let verdict = Equilibrium.check ~pool game g in
-    Printf.printf "version: %s\n" (Game.to_string game);
-    Printf.printf "verdict: %s\n" (Format.asprintf "%a" Equilibrium.pp_verdict verdict);
-    Printf.printf "diameter: %s\n" (opt_cell (Metrics.diameter g));
-    (match game with
-    | Game.Max ->
-      Printf.printf "deletion-critical: %b\n" (Equilibrium.is_deletion_critical g);
-      Printf.printf "insertion-stable: %b\n" (Equilibrium.is_insertion_stable g);
-      (match Equilibrium.eccentricity_spread g with
-      | Some s -> Printf.printf "eccentricity spread: %d\n" s
-      | None -> ())
-    | Game.Sum | Game.Alpha _ -> ());
-    `Ok ()
+let check game jobs with_stats g () =
+  with_stats @@ fun () ->
+  with_jobs jobs @@ fun pool ->
+  let verdict = Equilibrium.check ~pool game g in
+  Printf.printf "version: %s\n" (Game.to_string game);
+  Printf.printf "verdict: %s\n" (Format.asprintf "%a" Equilibrium.pp_verdict verdict);
+  Printf.printf "diameter: %s\n" (opt_cell (Metrics.diameter g));
+  match game with
+  | Game.Max ->
+    Printf.printf "deletion-critical: %b\n" (Equilibrium.is_deletion_critical g);
+    Printf.printf "insertion-stable: %b\n" (Equilibrium.is_insertion_stable g);
+    (match Equilibrium.eccentricity_spread g with
+    | Some s -> Printf.printf "eccentricity spread: %d\n" s
+    | None -> ())
+  | Game.Sum | Game.Alpha _ -> ()
 
 let check_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Check whether a graph is an equilibrium of the chosen game")
-    Term.(ret (const check $ game $ jobs_arg $ stats_arg $ stats_json_arg $ graph6_arg))
+  command "check" ~doc:"Check whether a graph is an equilibrium of the chosen game"
+    Term.(const check $ game_arg $ jobs_arg $ stats_term $ graph6_arg)
 
 (* --- dynamics --------------------------------------------------------------- *)
 
-let dynamics_exact game n init seed max_rounds trace =
-  let rng = Prng.create seed in
-  let g =
-    match init with
-    | `Tree -> Random_graphs.tree rng n
-    | `Gnm -> Random_graphs.connected_gnm rng n (2 * n)
-    | `Path -> Generators.path n
-    | `Cycle -> Generators.cycle n
-  in
-  let cfg =
-    { (Dynamics.default_config game) with Dynamics.max_rounds; record_trace = trace }
-  in
-  let r = Dynamics.run ~rng cfg g in
-  Printf.printf "outcome: %s\n" (Exp_common.outcome_name r.Dynamics.outcome);
-  Printf.printf "rounds: %d, moves: %d\n" r.Dynamics.rounds r.Dynamics.moves;
-  Printf.printf "final m: %d, diameter: %s\n" (Graph.m r.Dynamics.final)
-    (opt_cell (Metrics.diameter r.Dynamics.final));
-  let verified = Equilibrium.is_equilibrium game r.Dynamics.final in
-  Printf.printf "equilibrium verified: %b\n" verified;
-  Printf.printf "final graph6: %s\n" (Graph6.encode r.Dynamics.final);
-  if trace then begin
-    Printf.printf "\n%-6s %-24s %8s %10s %9s\n" "step" "move" "delta" "social" "diameter";
-    List.iter
-      (fun s ->
-        Printf.printf "%-6d %-24s %8d %10d %9d\n" s.Dynamics.index
-          (Swap.move_to_string s.Dynamics.move)
-          s.Dynamics.delta s.Dynamics.social s.Dynamics.diameter)
-      r.Dynamics.trace
-  end;
-  `Ok ()
+let max_rounds_arg =
+  Arg.(
+    value & opt nonneg_int 0
+    & info [ "max-rounds" ]
+        ~doc:"Round cap; 0 means the engine default (exact 10000, scale 24).")
 
-(* The large-n engine: generate a family snapshot straight into CSR, run
-   the sampled best-response dynamics over the Flexcsr arena. All
-   randomness (generator rows, run stream, trajectory sources) derives
-   from --seed through Prng.substream, so runs are reproducible at any -j. *)
-let dynamics_scale game n gen seed max_rounds jobs budget probes patience
-    exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources trace =
-  with_jobs jobs @@ fun pool ->
-  let t0 = Unix.gettimeofday () in
-  let csr =
-    match gen with
-    | `Ba -> Scale_gen.ba ~seed ~n ~m:ba_m
-    | `Er -> Scale_gen.er ~pool ~seed ~n ~avg_deg:er_deg ()
-    | `Ws -> Scale_gen.ws ~pool ~seed ~n ~k:ws_k ~beta:ws_beta ()
+let trace_arg = Arg.(value & flag & info [ "trace" ] ~doc:"Print the move-by-move trace.")
+
+let exact_config =
+  let make game max_rounds record_trace =
+    let max_rounds = if max_rounds = 0 then 10_000 else max_rounds in
+    { (Dynamics.default_config game) with Dynamics.max_rounds; record_trace }
   in
-  let t_gen = Unix.gettimeofday () -. t0 in
-  Printf.printf "generator: %s, n = %d, m = %d (%.2fs)\n"
-    (match gen with `Ba -> "ba" | `Er -> "er" | `Ws -> "ws")
-    (Csr.n csr) (Csr.m csr) t_gen;
-  let cfg =
+  Term.(const make $ game_arg $ max_rounds_arg $ trace_arg)
+
+(* --budget through --traj-sources, with the shared game, seed, round cap
+   and trace flags *)
+let scale_config =
+  let budget =
+    Arg.(
+      value & opt pos_int 16
+      & info [ "budget" ] ~doc:"Scale engine: sampled candidate swaps per probe.")
+  in
+  let probes =
+    Arg.(
+      value & opt nonneg_int 32
+      & info [ "probes" ] ~doc:"Scale engine: probes per round (0 means n).")
+  in
+  let patience =
+    Arg.(
+      value & opt nonneg_int 512
+      & info [ "patience" ]
+          ~doc:
+            "Scale engine: consecutive unimproving probes before declaring \
+             (sampled) convergence.")
+  in
+  let exact_confirm =
+    Arg.(
+      value & flag
+      & info [ "exact-confirm" ]
+          ~doc:
+            "Scale engine: confirm quiet rounds with the full exact scan \
+             instead of quiescence patience (equilibrium certificate; only \
+             affordable at small n).")
+  in
+  let window =
+    Arg.(
+      value
+      & opt pos_int (1 lsl 20)
+      & info [ "window" ] ~doc:"Scale engine: recent states kept for cycle detection.")
+  in
+  let traj_every =
+    Arg.(
+      value & opt nonneg_int 8
+      & info [ "traj-every" ]
+          ~doc:"Scale engine: sample the diameter trajectory every this many rounds (0: start/end only).")
+  in
+  let traj_sources =
+    Arg.(
+      value & opt nonneg_int 32
+      & info [ "traj-sources" ] ~doc:"Scale engine: BFS sources per trajectory sample (0 disables).")
+  in
+  let make game seed max_rounds record_trace budget probes patience exact_confirm
+      window trajectory_every trajectory_sources =
+    (* one round = --probes sampled probes; at n = 10^6 a round of 32
+       probes is ~2 minutes on one core, so the default keeps the bare
+       command under an hour *)
+    let max_rounds = if max_rounds = 0 then 24 else max_rounds in
     {
       (Scale_dynamics.default_config game) with
       Scale_dynamics.budget;
@@ -300,12 +329,84 @@ let dynamics_scale game n gen seed max_rounds jobs budget probes patience
         (if exact_confirm then Scale_dynamics.Exact_scan
          else Scale_dynamics.Quiescence patience);
       window;
-      trajectory_every = traj_every;
-      trajectory_sources = traj_sources;
+      trajectory_every;
+      trajectory_sources;
       traj_seed = seed;
-      record_trace = trace;
+      record_trace;
     }
   in
+  Term.(
+    const make $ game_arg $ seed_arg $ max_rounds_arg $ trace_arg $ budget
+    $ probes $ patience $ exact_confirm $ window $ traj_every $ traj_sources)
+
+(* --gen and its family parameters, as (name, generator) *)
+let scale_generator =
+  let gen =
+    Arg.(
+      value
+      & opt (enum [ ("ba", `Ba); ("er", `Er); ("ws", `Ws) ]) `Ba
+      & info [ "gen" ]
+          ~doc:
+            "Initial network for --engine scale: ba (preferential \
+             attachment), er (Erdos-Renyi), ws (Watts-Strogatz).")
+  in
+  let ba_m =
+    Arg.(value & opt pos_int 2 & info [ "ba-m" ] ~doc:"ba generator: edges per arriving vertex.")
+  in
+  let er_deg =
+    Arg.(value & opt nonneg_float 4.0 & info [ "er-deg" ] ~doc:"er generator: expected average degree.")
+  in
+  let ws_k =
+    Arg.(value & opt pos_int 2 & info [ "ws-k" ] ~doc:"ws generator: clockwise lattice links per vertex.")
+  in
+  let ws_beta =
+    Arg.(value & opt unit_float 0.1 & info [ "ws-beta" ] ~doc:"ws generator: rewiring probability.")
+  in
+  let make gen m avg_deg k beta =
+    match gen with
+    | `Ba -> ("ba", fun ~pool:_ ~seed ~n -> Scale_gen.ba ~seed ~n ~m)
+    | `Er -> ("er", fun ~pool ~seed ~n -> Scale_gen.er ~pool ~seed ~n ~avg_deg ())
+    | `Ws -> ("ws", fun ~pool ~seed ~n -> Scale_gen.ws ~pool ~seed ~n ~k ~beta ())
+  in
+  Term.(const make $ gen $ ba_m $ er_deg $ ws_k $ ws_beta)
+
+let dynamics_exact (cfg : Dynamics.config) n init seed =
+  let rng = Prng.create seed in
+  let g =
+    match init with
+    | `Tree -> Random_graphs.tree rng n
+    | `Gnm -> Random_graphs.connected_gnm rng n (2 * n)
+    | `Path -> Generators.path n
+    | `Cycle -> Generators.cycle n
+  in
+  let r = Dynamics.run ~rng cfg g in
+  Printf.printf "outcome: %s\n" (Exp_common.outcome_name r.Dynamics.outcome);
+  Printf.printf "rounds: %d, moves: %d\n" r.Dynamics.rounds r.Dynamics.moves;
+  Printf.printf "final m: %d, diameter: %s\n" (Graph.m r.Dynamics.final)
+    (opt_cell (Metrics.diameter r.Dynamics.final));
+  let verified = Equilibrium.is_equilibrium cfg.game r.Dynamics.final in
+  Printf.printf "equilibrium verified: %b\n" verified;
+  Printf.printf "final graph6: %s\n" (Graph6.encode r.Dynamics.final);
+  if cfg.record_trace then begin
+    Printf.printf "\n%-6s %-24s %8s %10s %9s\n" "step" "move" "delta" "social" "diameter";
+    List.iter
+      (fun s ->
+        Printf.printf "%-6d %-24s %8d %10d %9d\n" s.Dynamics.index
+          (Swap.move_to_string s.Dynamics.move)
+          s.Dynamics.delta s.Dynamics.social s.Dynamics.diameter)
+      r.Dynamics.trace
+  end
+
+(* The large-n engine: generate a family snapshot straight into CSR, run
+   the sampled best-response dynamics over the Flexcsr arena. All
+   randomness (generator rows, run stream, trajectory sources) derives
+   from --seed through Prng.substream, so runs are reproducible at any -j. *)
+let dynamics_scale (cfg : Scale_dynamics.config) (gen_name, generate) n seed pool =
+  let t0 = Unix.gettimeofday () in
+  let csr = generate ~pool ~seed ~n in
+  let t_gen = Unix.gettimeofday () -. t0 in
+  Printf.printf "generator: %s, n = %d, m = %d (%.2fs)\n" gen_name (Csr.n csr)
+    (Csr.m csr) t_gen;
   let rng = Prng.substream seed (-1) in
   let t1 = Unix.gettimeofday () in
   let r = Scale_dynamics.run ~pool ~rng cfg csr in
@@ -328,41 +429,35 @@ let dynamics_scale game n gen seed max_rounds jobs budget probes patience
           s.Scale_dynamics.s_mean_dist)
       r.Scale_dynamics.trajectory
   end;
-  if trace then begin
+  if cfg.record_trace then begin
     Printf.printf "\n%-6s %-24s %8s\n" "step" "move" "delta";
     List.iteri
       (fun i (mv, d) ->
         Printf.printf "%-6d %-24s %8d\n" i (Swap.move_to_string mv) d)
       r.Scale_dynamics.trace
-  end;
-  `Ok ()
+  end
 
-let dynamics engine game n init gen seed max_rounds jobs budget probes
-    patience exact_confirm window ba_m er_deg ws_k ws_beta traj_every
-    traj_sources trace stats stats_json =
-  with_stats stats stats_json @@ fun () ->
+let dynamics engine n init seed exact_cfg scale_cfg gen jobs with_stats () =
+  (* both configs carry the one --game; reject what an engine cannot run
+     before any work *)
+  let game = exact_cfg.Dynamics.game in
+  let basic_only what hint =
+    if not (Game.is_basic game) then
+      failwith
+        (Printf.sprintf "%s supports only the basic games (sum, max); got %s (%s)"
+           what (Game.to_string game) hint)
+  in
+  (match engine with
+  | `Exact when exact_cfg.Dynamics.record_trace ->
+    basic_only "--trace" "the alpha dynamics record no trace"
+  | `Exact -> ()
+  | `Scale -> basic_only "--engine scale" "use --engine exact");
+  with_stats @@ fun () ->
   match engine with
-  | `Exact ->
-    let max_rounds = if max_rounds = 0 then 10_000 else max_rounds in
-    dynamics_exact game n init seed max_rounds trace
-  | `Scale when not (Game.is_basic game) ->
-    `Error
-      ( false,
-        Printf.sprintf
-          "--engine scale supports only the basic games (sum, max); got %s \
-           (use --engine exact)"
-          (Game.to_string game) )
-  | `Scale ->
-    (* one round = --probes sampled probes; at n = 10^6 a round of 32
-       probes is ~2 minutes on one core, so the default keeps the bare
-       command under an hour *)
-    let max_rounds = if max_rounds = 0 then 24 else max_rounds in
-    dynamics_scale game n gen seed max_rounds jobs budget probes patience
-      exact_confirm window ba_m er_deg ws_k ws_beta traj_every traj_sources
-      trace
+  | `Exact -> dynamics_exact exact_cfg n init seed
+  | `Scale -> with_jobs jobs (dynamics_scale scale_cfg gen n seed)
 
 let dynamics_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
   let engine =
     Arg.(
       value
@@ -373,94 +468,17 @@ let dynamics_cmd =
              sampled probes over a CSR arena with certified candidate \
              bounds (n up to 10^6).")
   in
-  let n = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Number of agents.") in
+  let n = Arg.(value & opt pos_int 24 & info [ "n" ] ~doc:"Number of agents.") in
   let init =
     Arg.(
       value
       & opt (enum [ ("tree", `Tree); ("gnm", `Gnm); ("path", `Path); ("cycle", `Cycle) ]) `Tree
       & info [ "init" ] ~doc:"Initial network for --engine exact: tree, gnm, path, cycle.")
   in
-  let gen =
-    Arg.(
-      value
-      & opt (enum [ ("ba", `Ba); ("er", `Er); ("ws", `Ws) ]) `Ba
-      & info [ "gen" ]
-          ~doc:
-            "Initial network for --engine scale: ba (preferential \
-             attachment), er (Erdos-Renyi), ws (Watts-Strogatz).")
-  in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let rounds =
-    Arg.(
-      value & opt int 0
-      & info [ "max-rounds" ]
-          ~doc:"Round cap; 0 means the engine default (exact 10000, scale 24).")
-  in
-  let budget =
-    Arg.(
-      value & opt int 16
-      & info [ "budget" ] ~doc:"Scale engine: sampled candidate swaps per probe.")
-  in
-  let probes =
-    Arg.(
-      value & opt int 32
-      & info [ "probes" ] ~doc:"Scale engine: probes per round (0 means n).")
-  in
-  let patience =
-    Arg.(
-      value & opt int 512
-      & info [ "patience" ]
-          ~doc:
-            "Scale engine: consecutive unimproving probes before declaring \
-             (sampled) convergence.")
-  in
-  let exact_confirm =
-    Arg.(
-      value & flag
-      & info [ "exact-confirm" ]
-          ~doc:
-            "Scale engine: confirm quiet rounds with the full exact scan \
-             instead of quiescence patience (equilibrium certificate; only \
-             affordable at small n).")
-  in
-  let window =
-    Arg.(
-      value
-      & opt int (1 lsl 20)
-      & info [ "window" ] ~doc:"Scale engine: recent states kept for cycle detection.")
-  in
-  let ba_m =
-    Arg.(value & opt int 2 & info [ "ba-m" ] ~doc:"ba generator: edges per arriving vertex.")
-  in
-  let er_deg =
-    Arg.(value & opt float 4.0 & info [ "er-deg" ] ~doc:"er generator: expected average degree.")
-  in
-  let ws_k =
-    Arg.(value & opt int 2 & info [ "ws-k" ] ~doc:"ws generator: clockwise lattice links per vertex.")
-  in
-  let ws_beta =
-    Arg.(value & opt float 0.1 & info [ "ws-beta" ] ~doc:"ws generator: rewiring probability.")
-  in
-  let traj_every =
-    Arg.(
-      value & opt int 8
-      & info [ "traj-every" ]
-          ~doc:"Scale engine: sample the diameter trajectory every this many rounds (0: start/end only).")
-  in
-  let traj_sources =
-    Arg.(
-      value & opt int 32
-      & info [ "traj-sources" ] ~doc:"Scale engine: BFS sources per trajectory sample (0 disables).")
-  in
-  let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the move-by-move trace.") in
-  Cmd.v
-    (Cmd.info "dynamics" ~doc:"Run best-response swap dynamics to equilibrium")
+  command "dynamics" ~doc:"Run best-response swap dynamics to equilibrium"
     Term.(
-      ret
-        (const dynamics $ engine $ game $ n $ init $ gen $ seed $ rounds
-       $ jobs_arg $ budget $ probes $ patience $ exact_confirm $ window $ ba_m
-       $ er_deg $ ws_k $ ws_beta $ traj_every $ traj_sources $ trace
-       $ stats_arg $ stats_json_arg))
+      const dynamics $ engine $ n $ init $ seed_arg $ exact_config $ scale_config
+      $ scale_generator $ jobs_arg $ stats_term)
 
 (* --- census --------------------------------------------------------------- *)
 
@@ -484,16 +502,15 @@ let print_result = function
       (fun g -> Printf.printf "  representative: %s\n" (Graph6.encode g))
       c.Census.equilibria_iso
 
-let census game n trees jobs workers parts retries timeout journal atlas_dir
-    stats stats_json =
-  with_stats stats stats_json @@ fun () ->
+let census game n trees jobs (fleet : Dispatch.config) atlas_dir with_stats () =
+  with_stats @@ fun () ->
   let atlas =
-    match atlas_dir with
-    | None -> None
-    | Some dir -> (
-      match Atlas.open_ dir with
-      | Ok a -> Some a
-      | Error msg -> invalid_arg ("atlas: " ^ msg))
+    Option.map
+      (fun dir ->
+        match Atlas.open_ dir with
+        | Ok a -> a
+        | Error msg -> failwith ("atlas: " ^ msg))
+      atlas_dir
   in
   (* atlas accounting goes to stderr, like the dispatch accounting: the
      census on stdout stays byte-identical with and without the atlas *)
@@ -511,41 +528,18 @@ let census game n trees jobs workers parts retries timeout journal atlas_dir
   let shard = Census.full_shard kind game n in
   (* one printer for the in-process and the distributed paths, so their
      stdout is byte-identical (dispatch accounting goes to stderr) *)
-  if workers = [] then
-    with_jobs jobs @@ fun pool ->
-    print_result (Census.run_shard ?atlas ~pool shard);
-    `Ok ()
+  if fleet.workers = [] then
+    with_jobs jobs @@ fun pool -> print_result (Census.run_shard ?atlas ~pool shard)
   else begin
-    let workers =
-      List.mapi
-        (fun i -> function
-          | `Local -> Dispatch.Local (Printf.sprintf "local-%d" i)
-          | `Remote addr -> Dispatch.Remote addr)
-        workers
-    in
-    let cfg =
-      {
-        Dispatch.default_config with
-        Dispatch.workers;
-        parts;
-        max_attempts = retries;
-        timeout;
-        journal;
-        atlas;
-      }
-    in
-    match Dispatch.run cfg shard with
-    | Error msg -> `Error (false, msg)
-    | Ok (result, st) ->
-      print_result result;
-      Printf.eprintf
-        "dispatch: %d shards, %d journal hits, %d dispatched, %d retried, %d recovered\n"
-        st.Dispatch.shards st.Dispatch.journal_hits st.Dispatch.dispatched
-        st.Dispatch.retried st.Dispatch.recovered;
-      if st.Dispatch.blacklisted <> [] then
-        Printf.eprintf "dispatch: blacklisted workers: %s\n"
-          (String.concat ", " st.Dispatch.blacklisted);
-      `Ok ()
+    let result, st = ok_or_fail (Dispatch.run { fleet with atlas } shard) in
+    print_result result;
+    Printf.eprintf
+      "dispatch: %d shards, %d journal hits, %d dispatched, %d retried, %d recovered\n"
+      st.Dispatch.shards st.Dispatch.journal_hits st.Dispatch.dispatched
+      st.Dispatch.retried st.Dispatch.recovered;
+    if st.Dispatch.blacklisted <> [] then
+      Printf.eprintf "dispatch: blacklisted workers: %s\n"
+        (String.concat ", " st.Dispatch.blacklisted)
   end
 
 let worker_conv =
@@ -566,20 +560,9 @@ let worker_conv =
   in
   Arg.conv (parse, pp)
 
-let census_cmd =
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
-  let n =
-    let doc =
-      Printf.sprintf
-        "Vertex count: at most %d with $(b,--trees); for the graph census \
-         at most %d for sum and max (orderly enumeration, one graph per \
-         isomorphism class) and %d for alpha:$(i,A) (every labeled graph)."
-        Enumerate.max_tree_vertices Orderly.max_vertices
-        Enumerate.max_graph_vertices
-    in
-    Arg.(value & opt int 5 & info [ "n" ] ~doc)
-  in
-  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
+(* --workers --parts --retries --timeout --journal; no workers means the
+   in-process census *)
+let dispatch_config =
   let workers =
     let doc =
       "Distribute the census across this worker fleet instead of running \
@@ -595,20 +578,20 @@ let census_cmd =
     let doc =
       "Number of shards to split the census into (0 means 4 per worker)."
     in
-    Arg.(value & opt int 0 & info [ "parts" ] ~docv:"N" ~doc)
+    Arg.(value & opt nonneg_int 0 & info [ "parts" ] ~docv:"N" ~doc)
   in
   let retries =
     let doc = "Give up after a shard fails this many times across workers." in
     Arg.(
       value
-      & opt int Dispatch.default_config.Dispatch.max_attempts
+      & opt pos_int Dispatch.default_config.Dispatch.max_attempts
       & info [ "retries" ] ~docv:"N" ~doc)
   in
   let timeout =
     let doc = "Per-shard reply deadline for remote workers, in seconds." in
     Arg.(
       value
-      & opt float Dispatch.default_config.Dispatch.timeout
+      & opt nonneg_float Dispatch.default_config.Dispatch.timeout
       & info [ "timeout" ] ~docv:"SECS" ~doc)
   in
   let journal =
@@ -618,6 +601,31 @@ let census_cmd =
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
+  let make workers parts max_attempts timeout journal =
+    let workers =
+      List.mapi
+        (fun i -> function
+          | `Local -> Dispatch.Local (Printf.sprintf "local-%d" i)
+          | `Remote addr -> Dispatch.Remote addr)
+        workers
+    in
+    { Dispatch.default_config with Dispatch.workers; parts; max_attempts; timeout; journal }
+  in
+  Term.(const make $ workers $ parts $ retries $ timeout $ journal)
+
+let census_cmd =
+  let n =
+    let doc =
+      Printf.sprintf
+        "Vertex count: at most %d with $(b,--trees); for the graph census \
+         at most %d for sum and max (orderly enumeration, one graph per \
+         isomorphism class) and %d for alpha:$(i,A) (every labeled graph)."
+        Enumerate.max_tree_vertices Orderly.max_vertices
+        Enumerate.max_graph_vertices
+    in
+    Arg.(value & opt int 5 & info [ "n" ] ~doc)
+  in
+  let trees = Arg.(value & flag & info [ "trees" ] ~doc:"Census over trees instead of all connected graphs.") in
   let atlas =
     let doc =
       "Consult and populate the persistent equilibrium atlas in $(docv) \
@@ -628,51 +636,31 @@ let census_cmd =
     in
     Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"DIR" ~doc)
   in
-  let run game n trees jobs workers parts retries timeout journal atlas stats
-      stats_json =
-    try
-      census game n trees jobs workers parts retries timeout journal atlas
-        stats stats_json
-    with Invalid_argument msg -> `Error (false, msg)
-  in
-  Cmd.v
-    (Cmd.info "census" ~doc:"Exhaustively classify equilibria on small vertex counts")
+  command "census" ~doc:"Exhaustively classify equilibria on small vertex counts"
     Term.(
-      ret
-        (const run $ game $ n $ trees $ jobs_arg $ workers $ parts
-        $ retries $ timeout $ journal $ atlas $ stats_arg $ stats_json_arg))
+      const census $ game_arg $ n $ trees $ jobs_arg $ dispatch_config $ atlas
+      $ stats_term)
 
 (* --- experiment -------------------------------------------------------------- *)
 
-let experiment id list_only seed =
+let experiment id list_only seed () =
   Option.iter Exp_common.set_seed_base seed;
-  if list_only then begin
+  if list_only then
     List.iter
       (fun e ->
         Printf.printf "%-4s %-30s %s%s\n" e.Experiments.id e.Experiments.paper_item
           e.Experiments.title
           (if e.Experiments.heavy then " [heavy]" else ""))
-      Experiments.all;
-    `Ok ()
-  end
+      Experiments.all
   else
     match id with
-    | None ->
-      Experiments.run_default ();
-      `Ok ()
-    | Some "all" ->
-      Experiments.run_default ();
-      `Ok ()
-    | Some "everything" ->
-      Experiments.run_everything ();
-      `Ok ()
+    | None | Some "all" -> Experiments.run_default ()
+    | Some "everything" -> Experiments.run_everything ()
     | Some id -> (
       match Experiments.find id with
-      | Some e ->
-        (* run_one honors BNCG_STATS like the bulk runners *)
-        Experiments.run_one e;
-        `Ok ()
-      | None -> `Error (false, Printf.sprintf "unknown experiment %S (try --list)" id))
+      (* run_one honors BNCG_STATS like the bulk runners *)
+      | Some e -> Experiments.run_one e
+      | None -> failwith (Printf.sprintf "unknown experiment %S (try --list)" id))
 
 let experiment_cmd =
   let id =
@@ -692,111 +680,70 @@ let experiment_cmd =
             "Seed base: experiment tables draw seeds base+1..base+k \
              (default $(b,BNCG_SEED) or 0).")
   in
-  Cmd.v
-    (Cmd.info "experiment" ~doc:"Reproduce the paper's theorem/figure tables")
-    Term.(ret (const experiment $ id $ list_only $ seed))
+  command "experiment" ~doc:"Reproduce the paper's theorem/figure tables"
+    Term.(const experiment $ id $ list_only $ seed)
 
 (* --- hunt ---------------------------------------------------------------- *)
 
-let hunt n target_diameter steps seed game stats stats_json =
-  with_stats stats stats_json @@ fun () ->
+let hunt n target_diameter steps seed game with_stats () =
+  with_stats @@ fun () ->
   let rng = Prng.create seed in
   let cfg = { (Hunt.default_config ~game ~n ~target_diameter ()) with Hunt.steps } in
   let r = Hunt.run rng cfg in
-  (match r.Hunt.found with
+  match r.Hunt.found with
   | Some g ->
     Printf.printf "found a %s equilibrium with diameter >= %d on %d vertices:\n"
       (Game.to_string game) target_diameter n;
     Printf.printf "graph6: %s\n" (Graph6.encode g);
     graph_summary g
+  (* best_violations is -1 when no candidate reached the target diameter *)
+  | None when r.Hunt.best_violations < 0 ->
+    Printf.printf
+      "not found (no candidate reached diameter >= %d; %d candidates scored)\n"
+      target_diameter r.Hunt.evaluated
   | None ->
     Printf.printf
       "not found (best candidate at target diameter had %d violating agents; %d candidates scored)\n"
-      r.Hunt.best_violations r.Hunt.evaluated);
-  `Ok ()
+      r.Hunt.best_violations r.Hunt.evaluated
 
 let hunt_cmd =
   let n = Arg.(value & opt int 10 & info [ "n" ] ~doc:"Vertex count.") in
   let target = Arg.(value & opt int 3 & info [ "diameter" ] ~doc:"Required minimum diameter.") in
-  let steps = Arg.(value & opt int 4000 & info [ "steps" ] ~doc:"Annealing steps per restart.") in
-  let seed = Arg.(value & opt int 0 & info [ "seed" ] ~doc:"PRNG seed.") in
-  let game = Arg.(value & opt game_conv Game.Sum & info [ "game" ] ~doc:game_doc) in
-  Cmd.v
-    (Cmd.info "hunt" ~doc:"Search for high-diameter equilibria by simulated annealing")
-    Term.(
-      ret (const hunt $ n $ target $ steps $ seed $ game $ stats_arg $ stats_json_arg))
+  let steps = Arg.(value & opt pos_int 4000 & info [ "steps" ] ~doc:"Annealing steps per restart.") in
+  command "hunt" ~doc:"Search for high-diameter equilibria by simulated annealing"
+    Term.(const hunt $ n $ target $ steps $ seed_arg $ game_arg $ stats_term)
 
 (* --- audit ---------------------------------------------------------------- *)
 
-let audit g6 =
-  match decode_graph g6 with
-  | Error msg -> `Error (false, msg)
-  | Ok g ->
-    let show name = function
-      | None -> Printf.printf "%-8s holds\n" name
-      | Some v -> Printf.printf "%-8s VIOLATED: %s\n" name v.Lemmas.description
-    in
-    Printf.printf "lemma audit on n=%d, m=%d:\n" (Graph.n g) (Graph.m g);
-    show "lemma 6" (Lemmas.check_lemma6 g);
-    show "lemma 7" (Lemmas.check_lemma7 g);
-    show "lemma 8" (Lemmas.check_lemma8 g);
-    Printf.printf "\ncentrality profile:\n";
-    let b = Centrality.betweenness g in
-    Printf.printf "  betweenness: max %.2f at vertex %d, spread %.2f\n"
-      b.(Centrality.most_central b)
-      (Centrality.most_central b) (Centrality.spread b);
-    Printf.printf "  fiedler value: %.4f\n" (Spectral.algebraic_connectivity g);
-    Printf.printf "  clustering: global %.3f, average %.3f\n"
-      (Metrics.global_clustering g) (Metrics.average_clustering g);
-    (match Metrics.degree_assortativity g with
-    | Some r -> Printf.printf "  degree assortativity: %.3f\n" r
-    | None -> Printf.printf "  degree assortativity: degenerate\n");
-    `Ok ()
+let audit g () =
+  let show name = function
+    | None -> Printf.printf "%-8s holds\n" name
+    | Some v -> Printf.printf "%-8s VIOLATED: %s\n" name v.Lemmas.description
+  in
+  Printf.printf "lemma audit on n=%d, m=%d:\n" (Graph.n g) (Graph.m g);
+  show "lemma 6" (Lemmas.check_lemma6 g);
+  show "lemma 7" (Lemmas.check_lemma7 g);
+  show "lemma 8" (Lemmas.check_lemma8 g);
+  Printf.printf "\ncentrality profile:\n";
+  let b = Centrality.betweenness g in
+  Printf.printf "  betweenness: max %.2f at vertex %d, spread %.2f\n"
+    b.(Centrality.most_central b)
+    (Centrality.most_central b) (Centrality.spread b);
+  Printf.printf "  fiedler value: %.4f\n" (Spectral.algebraic_connectivity g);
+  Printf.printf "  clustering: global %.3f, average %.3f\n"
+    (Metrics.global_clustering g) (Metrics.average_clustering g);
+  match Metrics.degree_assortativity g with
+  | Some r -> Printf.printf "  degree assortativity: %.3f\n" r
+  | None -> Printf.printf "  degree assortativity: degenerate\n"
 
 let audit_cmd =
-  Cmd.v
-    (Cmd.info "audit" ~doc:"Run the lemma audit and structural profile on a graph")
-    Term.(ret (const audit $ graph6_arg))
+  command "audit" ~doc:"Run the lemma audit and structural profile on a graph"
+    Term.(const audit $ graph6_arg)
 
 (* --- serve / call --------------------------------------------------------- *)
 
-let address_conv = Arg.conv (parse_address, Serve.pp_address)
-
-let serve listen jobs workers cache shards max_bytes max_vertices slice timeout
-    atlas stats stats_json =
-  if listen = [] then
-    `Error (false, "at least one --listen address is required")
-  else
-    with_stats stats stats_json @@ fun () ->
-    let cfg =
-      {
-        Serve.addresses = listen;
-        jobs;
-        workers;
-        cache_capacity = cache;
-        cache_shards = shards;
-        max_request_bytes = max_bytes;
-        max_graph_vertices = max_vertices;
-        census_slice = slice;
-        request_timeout = timeout;
-        write_high_water = Serve.default_config.Serve.write_high_water;
-        atlas_dir = atlas;
-      }
-    in
-    match
-      Serve.run cfg ~on_ready:(fun srv ->
-          List.iter
-            (fun a -> Printf.printf "listening on %s\n" (Format.asprintf "%a" Serve.pp_address a))
-            (Serve.bound_addresses srv);
-          print_string "ready\n";
-          flush stdout)
-    with
-    | () -> `Ok ()
-    | exception Invalid_argument msg -> `Error (false, msg)
-    | exception Unix.Unix_error (e, fn, arg) ->
-      `Error (false, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e))
-
-let serve_cmd =
+(* every serve flag but --stats, as the server config *)
+let serve_config =
   let listen =
     let doc =
       "Address to listen on: $(b,unix:PATH) or $(b,tcp:HOST:PORT) (port 0 \
@@ -804,48 +751,49 @@ let serve_cmd =
     in
     Arg.(value & opt_all address_conv [] & info [ "l"; "listen" ] ~docv:"ADDR" ~doc)
   in
+  let default = Serve.default_config in
   let workers =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.workers
+      & opt nonneg_int default.Serve.workers
       & info [ "workers" ] ~docv:"N"
           ~doc:"Event-loop worker domains (0 = all available cores).")
   in
   let cache =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.cache_capacity
+      & opt pos_int default.Serve.cache_capacity
       & info [ "cache" ] ~docv:"N" ~doc:"Result-cache capacity (entries).")
   in
   let shards =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.cache_shards
+      & opt nonneg_int default.Serve.cache_shards
       & info [ "cache-shards" ] ~docv:"N"
           ~doc:"Result-cache shard count (0 = default).")
   in
   let max_bytes =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.max_request_bytes
+      & opt pos_int default.Serve.max_request_bytes
       & info [ "max-request-bytes" ] ~docv:"N" ~doc:"Reject request lines longer than $(docv).")
   in
   let max_vertices =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.max_graph_vertices
+      & opt pos_int default.Serve.max_graph_vertices
       & info [ "max-vertices" ] ~docv:"N" ~doc:"Reject info/check graphs with more than $(docv) vertices.")
   in
   let slice =
     Arg.(
       value
-      & opt int Serve.default_config.Serve.census_slice
+      & opt pos_int default.Serve.census_slice
       & info [ "census-slice" ] ~docv:"N" ~doc:"Census ranks per request-deadline check.")
   in
   let timeout =
     Arg.(
       value
-      & opt float Serve.default_config.Serve.request_timeout
+      & opt nonneg_float default.Serve.request_timeout
       & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Per-request cooperative deadline.")
   in
   let atlas =
@@ -858,55 +806,65 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "atlas" ] ~docv:"DIR" ~doc)
   in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the batching RPC server (newline-delimited JSON over unix/tcp sockets)")
-    Term.(
-      ret
-        (const serve $ listen $ jobs_arg $ workers $ cache $ shards $ max_bytes
-       $ max_vertices $ slice $ timeout $ atlas $ stats_arg $ stats_json_arg))
-
-let call addr timeout meth game g6 kind n lo hi raw =
-  let request =
-    match raw with
-    | Some line -> Ok line
-    | None -> (
-      match meth with
-      | None -> Error "METHOD is required (or use --raw)"
-      | Some meth ->
-        let params =
-          List.filter_map
-            (fun x -> x)
-            [
-              Option.map (fun v -> ("game", Jsonx.Str (Game.to_string v))) game;
-              Option.map (fun s -> ("graph6", Jsonx.Str s)) g6;
-              Option.map (fun s -> ("kind", Jsonx.Str s)) kind;
-              Option.map (fun i -> ("n", Jsonx.Int i)) n;
-              Option.map (fun i -> ("lo", Jsonx.Int i)) lo;
-              Option.map (fun i -> ("hi", Jsonx.Int i)) hi;
-            ]
-        in
-        Ok
-          (Jsonx.to_string
-             (Jsonx.Obj
-                (("id", Jsonx.Int 0) :: ("method", Jsonx.Str meth)
-                :: (if params = [] then [] else [ ("params", Jsonx.Obj params) ])))))
+  let make addresses jobs workers cache_capacity cache_shards max_request_bytes
+      max_graph_vertices census_slice request_timeout atlas_dir =
+    {
+      default with
+      Serve.addresses;
+      jobs;
+      workers;
+      cache_capacity;
+      cache_shards;
+      max_request_bytes;
+      max_graph_vertices;
+      census_slice;
+      request_timeout;
+      atlas_dir;
+    }
   in
-  match request with
-  | Error msg -> `Error (false, msg)
-  | Ok line -> (
-    match Serve.with_client ~timeout addr (fun c -> Serve.call c line) with
-    | response ->
-      print_endline response;
-      let ok =
-        match Jsonx.parse response with
-        | Ok r -> Jsonx.member "ok" r = Some (Jsonx.Bool true)
-        | Error _ -> false
+  Term.(
+    const make $ listen $ jobs_arg $ workers $ cache $ shards $ max_bytes
+    $ max_vertices $ slice $ timeout $ atlas)
+
+let serve (cfg : Serve.config) with_stats () =
+  if cfg.addresses = [] then failwith "at least one --listen address is required";
+  with_stats @@ fun () ->
+  Serve.run cfg ~on_ready:(fun srv ->
+      List.iter
+        (fun a -> Printf.printf "listening on %s\n" (Format.asprintf "%a" Serve.pp_address a))
+        (Serve.bound_addresses srv);
+      print_string "ready\n";
+      flush stdout)
+
+let serve_cmd =
+  command "serve"
+    ~doc:"Run the batching RPC server (newline-delimited JSON over unix/tcp sockets)"
+    Term.(const serve $ serve_config $ stats_term)
+
+let call addr timeout meth game g6 kind n lo hi raw () =
+  let request =
+    match (raw, meth) with
+    | Some line, _ -> line
+    | None, None -> failwith "METHOD is required (or use --raw)"
+    | None, Some meth ->
+      let params =
+        List.filter_map Fun.id
+          [
+            Option.map (fun v -> ("game", Jsonx.Str (Game.to_string v))) game;
+            Option.map (fun s -> ("graph6", Jsonx.Str s)) g6;
+            Option.map (fun s -> ("kind", Jsonx.Str s)) kind;
+            Option.map (fun i -> ("n", Jsonx.Int i)) n;
+            Option.map (fun i -> ("lo", Jsonx.Int i)) lo;
+            Option.map (fun i -> ("hi", Jsonx.Int i)) hi;
+          ]
       in
-      if ok then `Ok () else `Error (false, "server returned an error")
-    | exception Failure msg -> `Error (false, msg)
-    | exception Unix.Unix_error (e, fn, arg) ->
-      `Error (false, Printf.sprintf "%s(%s): %s" fn arg (Unix.error_message e)))
+      Rpc.render_request ~id:(Jsonx.Int 0) ~meth (Jsonx.Obj params)
+  in
+  let response = Serve.with_client ~timeout addr (fun c -> Serve.call c request) in
+  print_endline response;
+  match Jsonx.parse response with
+  | Ok r when Jsonx.member "ok" r = Some (Jsonx.Bool true) -> ()
+  | _ -> failwith "server returned an error"
 
 let call_cmd =
   let addr =
@@ -914,7 +872,7 @@ let call_cmd =
     Arg.(required & opt (some address_conv) None & info [ "a"; "addr" ] ~docv:"ADDR" ~doc)
   in
   let timeout =
-    Arg.(value & opt float 30.0 & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Reply timeout.")
+    Arg.(value & opt nonneg_float 30.0 & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Reply timeout.")
   in
   let meth =
     Arg.(
@@ -922,9 +880,7 @@ let call_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"METHOD" ~doc:"ping, stats, info, check, or census-shard.")
   in
-  let game =
-    Arg.(value & opt (some game_conv) None & info [ "game" ] ~doc:game_doc)
-  in
+  let game = Arg.(value & opt (some game_conv) None game_info) in
   let g6 =
     Arg.(value & opt (some string) None & info [ "graph6" ] ~docv:"GRAPH6" ~doc:"Graph for info/check.")
   in
@@ -940,95 +896,68 @@ let call_cmd =
       & opt (some string) None
       & info [ "raw" ] ~docv:"LINE" ~doc:"Send $(docv) verbatim instead of building a request.")
   in
-  Cmd.v
-    (Cmd.info "call" ~doc:"Send one request to a running bncg serve and print the reply")
-    Term.(
-      ret
-        (const call $ addr $ timeout $ meth $ game $ g6 $ kind $ n $ lo $ hi
-       $ raw))
+  command "call" ~doc:"Send one request to a running bncg serve and print the reply"
+    Term.(const call $ addr $ timeout $ meth $ game $ g6 $ kind $ n $ lo $ hi $ raw)
 
 (* --- atlas --------------------------------------------------------------- *)
 
-let atlas_dir_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"DIR" ~doc:"Atlas directory.")
+let atlas_stats dir () =
+  let a = ok_or_fail (Atlas.open_ ~readonly:true dir) in
+  let s = Atlas.stats a in
+  Atlas.close a;
+  Printf.printf "segments: %d\n" s.Atlas.segments;
+  Printf.printf "records: %d\n" s.Atlas.records;
+  Printf.printf "bytes: %d\n" s.Atlas.bytes;
+  Printf.printf "snapshot used: %b\n" s.Atlas.snapshot_used;
+  Printf.printf "torn tails skipped: %d\n" s.Atlas.torn_records;
+  Printf.printf "corrupt records skipped: %d\n" s.Atlas.corrupt_records
 
-let atlas_stats dir =
-  match Atlas.open_ ~readonly:true dir with
-  | Error msg -> `Error (false, msg)
-  | Ok a ->
-    let s = Atlas.stats a in
-    Atlas.close a;
-    Printf.printf "segments: %d\n" s.Atlas.segments;
-    Printf.printf "records: %d\n" s.Atlas.records;
-    Printf.printf "bytes: %d\n" s.Atlas.bytes;
-    Printf.printf "snapshot used: %b\n" s.Atlas.snapshot_used;
-    Printf.printf "torn tails skipped: %d\n" s.Atlas.torn_records;
-    Printf.printf "corrupt records skipped: %d\n" s.Atlas.corrupt_records;
-    `Ok ()
+let atlas_verify dir () =
+  let r = ok_or_fail (Atlas.verify dir) in
+  Printf.printf "segments: %d\n" r.Atlas.v_segments;
+  Printf.printf "records: %d (%d live)\n" r.Atlas.v_records r.Atlas.v_live;
+  Printf.printf "bytes: %d\n" r.Atlas.v_bytes;
+  Printf.printf "torn tails: %d\n" r.Atlas.v_torn;
+  Printf.printf "corrupt records: %d\n" r.Atlas.v_corrupt;
+  if r.Atlas.v_corrupt > 0 then
+    failwith (Printf.sprintf "%d record(s) failed their checksum" r.Atlas.v_corrupt)
 
-let atlas_verify dir =
-  match Atlas.verify dir with
-  | Error msg -> `Error (false, msg)
-  | Ok r ->
-    Printf.printf "segments: %d\n" r.Atlas.v_segments;
-    Printf.printf "records: %d (%d live)\n" r.Atlas.v_records r.Atlas.v_live;
-    Printf.printf "bytes: %d\n" r.Atlas.v_bytes;
-    Printf.printf "torn tails: %d\n" r.Atlas.v_torn;
-    Printf.printf "corrupt records: %d\n" r.Atlas.v_corrupt;
-    if r.Atlas.v_corrupt = 0 then `Ok ()
-    else
-      `Error
-        ( false,
-          Printf.sprintf "%d record(s) failed their checksum" r.Atlas.v_corrupt
-        )
-
-let atlas_compact dir =
-  match Atlas.compact dir with
-  | Error msg -> `Error (false, msg)
-  | Ok r ->
-    Printf.printf "segments: %d -> %d\n" r.Atlas.c_segments_before
-      r.Atlas.c_segments_after;
-    Printf.printf "records: %d -> %d live\n" r.Atlas.c_records_before
-      r.Atlas.c_live;
-    Printf.printf "bytes: %d -> %d\n" r.Atlas.c_bytes_before
-      r.Atlas.c_bytes_after;
-    `Ok ()
+let atlas_compact dir () =
+  let r = ok_or_fail (Atlas.compact dir) in
+  Printf.printf "segments: %d -> %d\n" r.Atlas.c_segments_before
+    r.Atlas.c_segments_after;
+  Printf.printf "records: %d -> %d live\n" r.Atlas.c_records_before
+    r.Atlas.c_live;
+  Printf.printf "bytes: %d -> %d\n" r.Atlas.c_bytes_before
+    r.Atlas.c_bytes_after
 
 let atlas_cmd =
-  let stats_cmd =
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:
-           "Open the atlas read-only and print segment/record counts and \
-            what recovery (if any) the open performed")
-      Term.(ret (const atlas_stats $ atlas_dir_arg))
-  in
-  let verify_cmd =
-    Cmd.v
-      (Cmd.info "verify"
-         ~doc:
-           "Re-read every segment from byte 0 and checksum every record. \
-            Exits non-zero if any well-framed record fails its checksum; \
-            torn tails (expected after a crash) are reported but are not \
-            an error, since reopening truncates them away.")
-      Term.(ret (const atlas_verify $ atlas_dir_arg))
-  in
-  let compact_cmd =
-    Cmd.v
-      (Cmd.info "compact"
-         ~doc:
-           "Rewrite live records (first write wins, valid checksums only) \
-            into fresh segments and delete the old ones. Crash-safe: new \
-            segments land before any old segment is removed.")
-      Term.(ret (const atlas_compact $ atlas_dir_arg))
+  let dir =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc:"Atlas directory.")
   in
   Cmd.group
     (Cmd.info "atlas"
        ~doc:"Inspect and maintain a persistent equilibrium atlas directory")
-    [ stats_cmd; verify_cmd; compact_cmd ]
+    [
+      command "stats"
+        ~doc:
+          "Open the atlas read-only and print segment/record counts and \
+           what recovery (if any) the open performed"
+        Term.(const atlas_stats $ dir);
+      command "verify"
+        ~doc:
+          "Re-read every segment from byte 0 and checksum every record. \
+           Exits non-zero if any well-framed record fails its checksum; \
+           torn tails (expected after a crash) are reported but are not \
+           an error, since reopening truncates them away."
+        Term.(const atlas_verify $ dir);
+      command "compact"
+        ~doc:
+          "Rewrite live records (first write wins, valid checksums only) \
+           into fresh segments and delete the old ones. Crash-safe: new \
+           segments land before any old segment is removed."
+        Term.(const atlas_compact $ dir);
+    ]
 
 (* --- main ---------------------------------------------------------------- *)
 
